@@ -49,8 +49,9 @@ int main(int argc, char** argv) {
     } else {
       ++subspace;
     }
-    table.AddRow({"C" + std::to_string(i), DimsToString(unused),
-                  FormatSize(c.members.size()), FormatDouble(c.score, 0)});
+    table.AddRow({std::string("C").append(std::to_string(i)),
+                  DimsToString(unused), FormatSize(c.members.size()),
+                  FormatDouble(c.score, 0)});
   }
   table.Print();
 
@@ -70,8 +71,8 @@ int main(int argc, char** argv) {
     for (size_t d = 0; d < 7; ++d) {
       if (!relevant[d]) unused.push_back(d);
     }
-    truth_table.AddRow({"T" + std::to_string(i), DimsToString(unused),
-                        FormatSize(g.truth[i].tuples)});
+    truth_table.AddRow({std::string("T").append(std::to_string(i)),
+                        DimsToString(unused), FormatSize(g.truth[i].tuples)});
   }
   truth_table.Print();
   return 0;

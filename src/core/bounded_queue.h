@@ -1,7 +1,7 @@
 #ifndef STHIST_CORE_BOUNDED_QUEUE_H_
 #define STHIST_CORE_BOUNDED_QUEUE_H_
 
-#include <chrono>
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -28,12 +28,13 @@ enum class PushResult {
 /// Producers never block: when the queue is at capacity `TryPush` refuses the
 /// item and the caller decides what to do with the rejection (the service
 /// counts it as a drop — admission control by shedding the newest feedback,
-/// never by stalling a query thread). The consumer blocks in `PopBatch` until
-/// items arrive or the queue is closed, and drains up to a whole batch per
-/// wakeup so a backlogged refiner amortizes its lock traffic.
+/// never by stalling a query thread). Consumers drain up to a whole batch
+/// per call so a backlogged refiner amortizes its lock traffic: `PopBatch`
+/// blocks until items arrive or the queue is closed, `TryPopBatch` never
+/// blocks (what a serving cell's pool-scheduled run uses).
 ///
 /// Safe for any number of producers and consumers; the serving layer uses it
-/// MPSC (many feedback submitters, one refiner).
+/// MPSC (many feedback submitters, one refine run at a time).
 template <typename T>
 class BoundedQueue {
  public:
@@ -74,19 +75,14 @@ class BoundedQueue {
     return n;
   }
 
-  /// Timed variant of PopBatch for consumers with periodic side work (the
-  /// refiner polling a background rebuild): waits at most `timeout` for an
-  /// item. Returns the number popped — 0 on timeout as well as on
-  /// closed-and-drained, so such consumers distinguish the two via
-  /// closed()/size() before treating 0 as termination.
-  template <typename Rep, typename Period>
-  size_t PopBatchFor(std::vector<T>* out, size_t max_items,
-                     std::chrono::duration<Rep, Period> timeout) {
+  /// Non-blocking PopBatch for consumers that must never park on an empty
+  /// queue (a pool worker running one serving cell among many): moves up to
+  /// `max_items` into `*out` (cleared first) and returns how many, possibly
+  /// 0.
+  size_t TryPopBatch(std::vector<T>* out, size_t max_items) {
     STHIST_CHECK(max_items > 0);
     out->clear();
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_cv_.wait_for(lock, timeout,
-                       [this] { return closed_ || !items_.empty(); });
+    std::lock_guard<std::mutex> lock(mutex_);
     size_t n = std::min(max_items, items_.size());
     for (size_t i = 0; i < n; ++i) {
       out->push_back(std::move(items_.front()));

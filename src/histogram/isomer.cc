@@ -67,7 +67,6 @@ IsomerHistogram::IsomerHistogram(const Box& domain, double total_tuples,
   metrics_.flat_entry_blocks = reg->counter("index.flat.entry_blocks");
   metrics_.flat_simd_level = reg->gauge("index.flat.simd_level");
   metrics_.flat_simd_level.Set(static_cast<double>(simd::ActiveLevel()));
-  metrics_.ring = reg->ring();
 
   // The relation cardinality is a permanent constraint: the max-entropy
   // solution must always integrate to the table size.
@@ -483,8 +482,7 @@ double IsomerHistogram::MaxConstraintViolation() const {
 void IsomerHistogram::Refine(const Box& query,
                              const CardinalityOracle& oracle) {
   metrics_.refines.Inc();
-  obs::TraceSpan span("isomer.refine", metrics_.refine_seconds,
-                      metrics_.ring);
+  obs::ScopedTimer timer(metrics_.refine_seconds);
   // Query boxes and oracle counts are untrusted: repair what is repairable,
   // drop what is not, and never abort.
   std::optional<Box> sanitized =

@@ -126,7 +126,6 @@ class IsomerHistogram : public Histogram {
     obs::Counter flat_probes;
     obs::Counter flat_entry_blocks;
     obs::Gauge flat_simd_level;
-    obs::TraceRing* ring = nullptr;
   };
 
   /// Cached geometry of one bucket against one constraint box, valid while
@@ -151,7 +150,7 @@ class IsomerHistogram : public Histogram {
     /// structure_epoch_ the plan below was built against; 0 = never built.
     uint64_t plan_epoch = 0;
     /// Pre-order plan over the buckets intersecting `box`.
-    std::vector<PlanNode> plan;
+    std::vector<PlanNode> plan{};
     bool plan_estimable = true;  // IsEstimableQuery(domain, box) at build.
   };
 

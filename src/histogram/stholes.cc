@@ -98,7 +98,6 @@ STHoles::STHoles(const Box& domain, double total_tuples,
   metrics_.cow_copied = reg->counter("histogram.cow.copied_nodes");
   metrics_.cow_snapshots = reg->counter("histogram.cow.snapshots");
   metrics_.cow_shared = reg->gauge("histogram.cow.shared_nodes");
-  metrics_.ring = reg->ring();
 }
 
 STHoles::~STHoles() = default;
@@ -225,8 +224,7 @@ double STHoles::TotalFrequency() const {
 
 void STHoles::Refine(const Box& query, const CardinalityOracle& oracle) {
   metrics_.refines.Inc();
-  obs::TraceSpan span("stholes.refine", metrics_.refine_seconds,
-                      metrics_.ring);
+  obs::ScopedTimer timer(metrics_.refine_seconds);
   // Query boxes and oracle counts are untrusted: repair what is repairable,
   // drop what is not, and never abort.
   std::optional<Box> sanitized =

@@ -210,7 +210,6 @@ class STHoles : public Histogram {
     obs::Counter cow_copied;
     obs::Counter cow_snapshots;
     obs::Gauge cow_shared;
-    obs::TraceRing* ring = nullptr;
   };
 
   // Deep copy of a bucket subtree, preserving child order (estimation sums

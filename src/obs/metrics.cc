@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/check.h"
-
 namespace sthist::obs {
 
 namespace {
@@ -83,36 +81,6 @@ std::array<uint64_t, kLatencyBuckets> LatencyHistogram::bucket_counts() const {
 }
 
 // ---------------------------------------------------------------------------
-// TraceRing
-// ---------------------------------------------------------------------------
-
-TraceRing::TraceRing(size_t capacity) : capacity_(capacity) {
-  STHIST_CHECK(capacity > 0);
-  spans_.resize(capacity);
-}
-
-void TraceRing::Record(const char* name, double start_seconds,
-                       double duration_seconds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  spans_[next_] = {name, start_seconds, duration_seconds};
-  next_ = (next_ + 1) % capacity_;
-  if (next_ == 0) wrapped_ = true;
-}
-
-std::vector<SpanRecord> TraceRing::Recent() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<SpanRecord> out;
-  if (wrapped_) {
-    out.reserve(capacity_);
-    out.insert(out.end(), spans_.begin() + static_cast<ptrdiff_t>(next_),
-               spans_.end());
-  }
-  out.insert(out.end(), spans_.begin(),
-             spans_.begin() + static_cast<ptrdiff_t>(next_));
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
@@ -152,12 +120,6 @@ LatencyHistogram MetricsRegistry::latency(std::string_view name) {
   LatencyEntry& entry = latencies_.emplace_back();
   entry.name = std::string(name);
   return LatencyHistogram(&entry.cell);
-}
-
-void MetricsRegistry::EnableTracing(size_t capacity) {
-  if (!enabled_) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_ == nullptr) ring_ = std::make_unique<TraceRing>(capacity);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {

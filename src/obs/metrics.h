@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -129,36 +128,6 @@ class LatencyHistogram {
   Cell* cell_ = nullptr;
 };
 
-/// One completed span captured by the trace ring (see obs/trace.h).
-struct SpanRecord {
-  const char* name = "";  // Must point at static storage.
-  double start_seconds = 0.0;  // Relative to the ring's creation.
-  double duration_seconds = 0.0;
-};
-
-/// Fixed-capacity ring of the most recent spans, for post-hoc "what did the
-/// refiner spend its last second on" debugging. Mutex-guarded: spans are
-/// recorded at stage granularity (refine, publish, build), not per-estimate,
-/// so the lock is cold.
-class TraceRing {
- public:
-  explicit TraceRing(size_t capacity);
-
-  void Record(const char* name, double start_seconds, double duration_seconds);
-
-  /// The retained spans, oldest first.
-  std::vector<SpanRecord> Recent() const;
-
-  size_t capacity() const { return capacity_; }
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mutex_;
-  std::vector<SpanRecord> spans_;  // Ring storage.
-  size_t next_ = 0;                // Insertion cursor.
-  bool wrapped_ = false;
-};
-
 /// Value snapshot of one registry, for programmatic inspection and export.
 struct MetricsSnapshot {
   struct CounterValue {
@@ -228,11 +197,9 @@ class MetricsRegistry {
   Gauge gauge(std::string_view name);
   LatencyHistogram latency(std::string_view name);
 
-  /// Enables the span ring (idempotent; capacity applies on first call).
-  void EnableTracing(size_t capacity = 256);
-
-  /// The span ring, or nullptr when tracing is off / registry disabled.
-  TraceRing* ring() const { return ring_.get(); }
+  /// No-op, kept so existing callers still compile: the library records no
+  /// spans (exported, parented spans live in perfbench/tracer.h).
+  void EnableTracing(size_t /*capacity*/ = 256) {}
 
   /// Consistent-enough value snapshot: each cell is read atomically, the set
   /// of metrics is read under the registry mutex. Counters racing with the
@@ -266,7 +233,6 @@ class MetricsRegistry {
   std::deque<CounterEntry> counters_;
   std::deque<GaugeEntry> gauges_;
   std::deque<LatencyEntry> latencies_;
-  std::unique_ptr<TraceRing> ring_;
 };
 
 /// Process-wide default registry, used by components not handed an explicit

@@ -8,14 +8,13 @@
 namespace sthist::obs {
 
 /// \file
-/// Stage tracing (DESIGN.md §13): RAII timers that record a code region's
-/// wall-clock duration into a LatencyHistogram, optionally also appending a
-/// span to the owning registry's TraceRing. When the target histogram handle
-/// is disabled the timer never reads the clock, so a fully disabled build
-/// path costs one branch per region.
+/// Stage timing (DESIGN.md §13): an RAII timer that records a code region's
+/// wall-clock duration into a LatencyHistogram. When the target histogram
+/// handle is disabled the timer never reads the clock, so a fully disabled
+/// build path costs one branch per region.
 
-/// Seconds since an arbitrary process-stable origin, used to timestamp span
-/// starts in the ring.
+/// Seconds since an arbitrary process-stable origin (the thread pool's
+/// queue-wait timestamps).
 double MonotonicSeconds();
 
 /// Times one scope into a latency histogram.
@@ -50,40 +49,6 @@ class ScopedTimer {
   LatencyHistogram target_;
   std::chrono::steady_clock::time_point start_;
   bool stopped_ = false;
-};
-
-/// ScopedTimer plus a ring entry: names the span and, when `ring` is
-/// non-null, appends (name, start, duration) to it on completion. `name`
-/// must point at static storage (string literals) — the ring keeps the
-/// pointer, not a copy.
-class TraceSpan {
- public:
-  TraceSpan(const char* name, LatencyHistogram target, TraceRing* ring)
-      : name_(name), target_(target), ring_(ring) {
-    if (target_.enabled() || ring_ != nullptr) {
-      start_ = std::chrono::steady_clock::now();
-      start_seconds_ = MonotonicSeconds();
-    }
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  ~TraceSpan() {
-    if (!target_.enabled() && ring_ == nullptr) return;
-    double seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start_)
-                         .count();
-    target_.Observe(seconds);
-    if (ring_ != nullptr) ring_->Record(name_, start_seconds_, seconds);
-  }
-
- private:
-  const char* name_;
-  LatencyHistogram target_;
-  TraceRing* ring_;
-  std::chrono::steady_clock::time_point start_;
-  double start_seconds_ = 0.0;
 };
 
 }  // namespace sthist::obs

@@ -1,12 +1,9 @@
 #ifndef STHIST_SERVE_SERVICE_FLEET_H_
 #define STHIST_SERVE_SERVICE_FLEET_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -14,12 +11,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/bounded_queue.h"
 #include "core/box.h"
 #include "core/status.h"
 #include "core/thread_pool.h"
 #include "histogram/histogram.h"
 #include "obs/metrics.h"
+#include "serve/serving_cell.h"
 
 namespace sthist {
 
@@ -62,9 +59,8 @@ struct FleetConfig {
   size_t top_k_shard_labels = 8;
 
   /// Registry receiving serve.fleet.* (DESIGN.md §13). Null means the
-  /// process-wide obs::GlobalMetrics(); a disabled registry is replaced by a
-  /// private one so stats() never silently loses counts (same rule as
-  /// HistogramService).
+  /// process-wide obs::GlobalMetrics(). An export only: stats() and Drain
+  /// read the fleet's own counters (same rule as HistogramService).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -77,9 +73,10 @@ enum class FleetFeedbackOutcome {
   kStopped,
 };
 
-/// Fleet counters: the aggregate view over every shard. Same consistency
-/// contract as ServiceStats — individually sampled relaxed atomics, exact
-/// once the fleet is quiescent (after Drain or Stop).
+/// Fleet counters: the aggregate view over every shard this fleet ever held,
+/// removed tenants included. Same consistency contract as ServiceStats —
+/// individually sampled relaxed atomics, exact once the fleet is quiescent
+/// (after Drain or Stop).
 struct FleetStats {
   /// Tenants currently resident in the shard map.
   size_t tenants = 0;
@@ -109,30 +106,20 @@ struct FleetStats {
 /// Sharded multi-tenant histogram serving (DESIGN.md §16): one process,
 /// thousands of independently self-tuning histograms.
 ///
-/// Each tenant key owns one shard carrying the full single-service
-/// discipline of §11 — lock-free snapshot reads through an
-/// `atomic<shared_ptr<const Histogram>>`, a bounded MPSC feedback queue that
-/// sheds instead of blocking — but refinement is pooled: K refiner threads
-/// (core/thread_pool) drain all shard queues via a work-claiming scheme
-/// instead of one thread per histogram.
-///
-/// The claiming rule: every shard carries an atomic `in_flight` state
-/// (idle → queued → running → running-dirty). A shard is enqueued to the
-/// pool only by the one thread that wins the idle→queued transition, and
-/// only the pool worker that owns the queued→running transition may touch
-/// the shard's working histogram — so a shard is never refined by two
-/// workers, and each shard's feedback is applied in exact FIFO order.
-/// Consequence: after Drain, every shard's snapshot is bitwise-identical to
-/// a single-threaded replay of its accepted feedback — independent of the
-/// refiner count, of other tenants' traffic, and of scheduling
-/// (tests/fleet_test.cc holds this to std::bit_cast equality against both
-/// refiners=1 and a standalone HistogramService).
+/// A tenant map over ServingCells (serve/serving_cell.h) — each the full
+/// single-service discipline of §11 — sharing one K-worker refiner pool
+/// instead of a thread per histogram. Each cell's claim keeps its feedback
+/// on one worker at a time in FIFO order, so after Drain every shard's
+/// snapshot is bitwise-identical to a serial replay of its accepted feedback
+/// at any refiner count (tests/fleet_test.cc holds this to std::bit_cast
+/// equality against refiners=1 and a standalone HistogramService).
 ///
 /// Map lookups take a shared (reader) lock that is never held across
 /// estimation or refinement; AddTenant/RemoveTenant take it exclusively.
 /// Tenants are removable during live traffic: readers holding a snapshot
 /// keep it; queued feedback of a removed tenant is still drained (applied,
-/// never published) so fleet counters stay consistent.
+/// never published) so fleet counters stay consistent. Tenants run without
+/// re-initialization.
 ///
 /// Every histogram must support Clone(); every oracle must be
 /// const-thread-safe and outlive its tenant.
@@ -192,9 +179,7 @@ class ServiceFleet {
   /// Blocks until every feedback item accepted (fleet-wide) before this call
   /// has been applied and its shard's snapshot republished. Same horizon
   /// semantics as HistogramService::Drain; concurrent submitters keep the
-  /// horizon moving. Returns OK once reached, kUnavailable only if the pool
-  /// can no longer reach it (cannot happen through the public API — Stop
-  /// flushes every queue first).
+  /// horizon moving. Always returns OK (Stop flushes every queue first).
   Status Drain();
 
   /// Per-tenant drain: blocks until `key`'s feedback accepted before this
@@ -219,106 +204,45 @@ class ServiceFleet {
   /// binary snapshots or the file cannot be written.
   Status SaveSnapshot(const std::string& path) const;
 
-  /// Aggregate counters (see FleetStats for the consistency caveat). Typed
-  /// view over the serve.fleet.* registry cells.
+  /// Aggregate counters (see FleetStats for the consistency caveat), read
+  /// from the fleet's own totals, never from a registry another fleet may
+  /// share.
   FleetStats stats() const;
 
-  /// The registry holding this fleet's serve.fleet.* metrics.
+  /// The registry receiving this fleet's serve.fleet.* metrics.
   const obs::MetricsRegistry& metrics_registry() const { return *registry_; }
 
  private:
-  /// Claim states of one shard, the `in_flight` discipline. Only the thread
-  /// that wins kIdle→kQueued may enqueue the shard; only the pool worker
-  /// that performs kQueued→kRunning may refine it; a producer that finds it
-  /// kRunning marks kRunningDirty and the running worker re-queues on
-  /// release instead of going idle.
-  enum InFlight : uint32_t {
-    kIdle = 0,
-    kQueued = 1,
-    kRunning = 2,
-    kRunningDirty = 3,
-  };
+  using Cell = std::shared_ptr<ServingCell>;
 
-  struct Shard {
-    Shard(std::string key, uint64_t id, size_t queue_capacity)
-        : key(std::move(key)), id(id), queue(queue_capacity) {}
-
-    const std::string key;
-    const uint64_t id;  // TenantId(key): seed-deterministic.
-
-    /// Refiner-side working copy; touched only by the worker holding the
-    /// kRunning claim.
-    std::unique_ptr<Histogram> working;
-    std::atomic<std::shared_ptr<const Histogram>> snapshot;
-    const CardinalityOracle* oracle = nullptr;
-
-    BoundedQueue<Box> queue;
-    std::atomic<uint32_t> in_flight{kIdle};
-
-    /// Set by RemoveTenant: remaining feedback is drained (counters stay
-    /// consistent) but no further snapshot is published.
-    std::atomic<bool> removed{false};
-
-    /// Per-shard horizon counters for Drain (fleet metric cells are
-    /// aggregates and cannot answer per-shard questions).
-    std::atomic<size_t> accepted{0};
-    std::atomic<size_t> applied{0};
-    std::atomic<size_t> published{0};
-
-    /// Label-capped per-shard cells ("serve.fleet_shard_<label>.*", shared
-    /// with every other over-cap shard when the label is "other").
-    obs::Counter label_reads;
-    obs::Counter label_applied;
-  };
-
-  std::shared_ptr<Shard> FindShard(std::string_view key) const;
-
-  /// The claiming step: moves `shard` toward execution if no run is already
-  /// pending, marking a running shard dirty instead. Safe from any thread;
-  /// at most one pool task per shard ever exists.
-  void ScheduleShard(std::shared_ptr<Shard> shard);
-
-  /// One refiner run: claim kRunning, drain up to publish_batch items in
-  /// FIFO order, publish, release (re-queueing if dirty or backlogged).
-  void RunShard(const std::shared_ptr<Shard>& shard);
-
-  void PublishShard(Shard* shard);
-  void NotifyDrain();
-  Status WaitForShards(
-      const std::vector<std::pair<std::shared_ptr<Shard>, size_t>>& targets);
+  Cell FindCell(std::string_view key) const;
+  static Status UnknownTenant(std::string_view key);
 
   const FleetConfig config_;
+  obs::MetricsRegistry* const registry_;
 
-  std::unique_ptr<obs::MetricsRegistry> owned_registry_;
-  obs::MetricsRegistry* registry_ = nullptr;
+  /// serve.fleet.* handles shared by every cell; each tenant's copy adds
+  /// its capped per-shard label.
+  CellMetrics cell_metrics_;
+  CellCounters totals_;
+  DrainSignal signal_;
 
   mutable std::shared_mutex map_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<Shard>> shards_;
+  std::unordered_map<std::string, Cell> cells_;
   size_t labels_assigned_ = 0;  // Guarded by map_mutex_.
+  size_t tenants_added_ = 0;    // Guarded by map_mutex_.
+  size_t tenants_removed_ = 0;  // Guarded by map_mutex_.
   bool stopped_ = false;        // Guarded by map_mutex_.
 
-  // serve.fleet.* handles; stats() reads these same cells back.
-  obs::Gauge tenants_;
-  obs::Counter tenants_added_;
-  obs::Counter tenants_removed_;
-  obs::Counter reads_;
-  obs::Counter accepted_;
-  obs::Counter dropped_full_;
-  obs::Counter dropped_stopped_;
-  obs::Counter applied_;
-  obs::Counter publishes_;
-  obs::Counter shard_runs_;
-  obs::Gauge queue_depth_;
-  obs::LatencyHistogram publish_seconds_;
+  obs::Gauge tenants_gauge_;
+  obs::Counter tenants_added_metric_;
+  obs::Counter tenants_removed_metric_;
 
   // serve.snapshot.* handles (persistence, DESIGN.md §17); same cell names
   // as HistogramService's, so a process saving through both aggregates.
   obs::Counter snapshot_saves_;
   obs::Gauge snapshot_bytes_;
   obs::LatencyHistogram snapshot_save_seconds_;
-
-  std::mutex drain_mutex_;
-  std::condition_variable drain_cv_;
 
   /// Declared last so nothing the workers touch outlives them; explicitly
   /// reset in the destructor after Stop.

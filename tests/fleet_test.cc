@@ -23,6 +23,7 @@
 #include "core/rng.h"
 #include "data/generators.h"
 #include "histogram/stholes.h"
+#include "obs/metrics.h"
 #include "serve/histogram_service.h"
 #include "serve/service_fleet.h"
 #include "workload/query.h"
@@ -265,6 +266,63 @@ TEST(FleetTest, PerShardReplayBitwiseAcrossRefinerCountsAndVsStandalone) {
           << "standalone service diverged from serial replay, tenant " << t;
     }
   }
+}
+
+// Two fleets on one metrics registry share its serve.fleet.* cells, but each
+// fleet's stats must count only its own tenants — including a tenant removed
+// with feedback still queued, which is drained into the totals.
+TEST(FleetTest, FleetsSharingARegistryReportOnlyTheirOwnCounts) {
+  FleetSetup setup = MakeFleetSetup(4, 10, 4);
+  obs::MetricsRegistry registry;
+  FleetConfig config;
+  config.refiners = 2;
+  config.metrics = &registry;
+
+  auto add = [&](ServiceFleet& fleet, size_t t) {
+    ASSERT_TRUE(fleet
+                    .AddTenant(setup.keys[t],
+                               MakeTenantHistogram(setup.variant_of(t), 12),
+                               *setup.variant_of(t).executor)
+                    .ok());
+  };
+  auto feed = [&](ServiceFleet& fleet, size_t t, size_t items) {
+    for (size_t i = 0; i < items; ++i) {
+      ASSERT_EQ(*fleet.SubmitFeedback(setup.keys[t], setup.feedback[t][i]),
+                FleetFeedbackOutcome::kAccepted);
+    }
+  };
+
+  ServiceFleet first(config);
+  for (size_t t = 0; t < 4; ++t) {
+    add(first, t);
+    feed(first, t, 10);
+    ASSERT_TRUE(first.Estimate(setup.keys[t], setup.probes_of(t)[0]).ok());
+  }
+  ASSERT_TRUE(first.Drain().ok());
+
+  ServiceFleet second(config);
+  add(second, 0);
+  add(second, 1);
+  feed(second, 0, 5);
+  feed(second, 1, 5);
+  ASSERT_TRUE(second.Estimate(setup.keys[0], setup.probes_of(0)[0]).ok());
+  ASSERT_TRUE(second.RemoveTenant(setup.keys[1]).ok());
+  ASSERT_TRUE(second.Drain().ok());
+  second.Stop();
+
+  const FleetStats stats = second.stats();
+  EXPECT_EQ(stats.tenants, 1u);
+  EXPECT_EQ(stats.tenants_added, 2u);
+  EXPECT_EQ(stats.tenants_removed, 1u);
+  EXPECT_EQ(stats.reads_served, 1u);
+  EXPECT_EQ(stats.feedback_accepted, 10u);
+  EXPECT_EQ(stats.feedback_applied, 10u)
+      << "the removed tenant's queued feedback counts once drained";
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(first.stats().feedback_accepted, 40u);
+  EXPECT_EQ(first.stats().tenants_added, 4u);
+  // The registry still aggregates both fleets.
+  EXPECT_EQ(registry.counter("serve.fleet.feedback_accepted").value(), 50u);
 }
 
 // 8 readers × 16 tenants against a live 4-refiner pool: every pinned shard

@@ -129,19 +129,6 @@ TEST(MetricsConcurrencyTest, LatencyCountsExactAcrossWriters) {
   EXPECT_GT(latency.max_seconds(), obs::kLatencyBounds[kWriters - 2]);
 }
 
-TEST(MetricsConcurrencyTest, TraceRingKeepsMostRecentSpans) {
-  obs::TraceRing ring(8);
-  for (int i = 0; i < 20; ++i) {
-    ring.Record("span", static_cast<double>(i), 1.0);
-  }
-  std::vector<obs::SpanRecord> recent = ring.Recent();
-  ASSERT_EQ(recent.size(), 8u);
-  // Oldest first, and only the last 8 of the 20 recorded survive.
-  for (size_t i = 0; i < recent.size(); ++i) {
-    EXPECT_EQ(recent[i].start_seconds, static_cast<double>(12 + i));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // JSON snapshot round-trip. The exporter writes a small, known subset of
 // JSON; this flat parser handles exactly that subset (no nesting beyond the
@@ -324,7 +311,6 @@ TEST(MetricsDisabledTest, DisabledHandlesDoNotAllocate) {
   EXPECT_EQ(counter.value(), 0u);
   EXPECT_EQ(gauge.value(), 0.0);
   EXPECT_EQ(latency.count(), 0u);
-  EXPECT_EQ(disabled->ring(), nullptr);
 }
 
 TEST(MetricsDisabledTest, GlobalDefaultIsDisabledNullObject) {
@@ -383,7 +369,7 @@ TEST(MetricsDifferentialTest, InstrumentedEstimatesBitwiseIdentical) {
   }
 
   // And the instrumentation did observe the work: refinement counters,
-  // stage latencies, and ring spans are all populated.
+  // and stage latencies are populated.
   EXPECT_EQ(registry.counter("histogram.stholes.refines").value(),
             workload.size());
   EXPECT_GT(registry.counter("histogram.stholes.drills").value(), 0u);
@@ -396,8 +382,6 @@ TEST(MetricsDifferentialTest, InstrumentedEstimatesBitwiseIdentical) {
     }
   }
   EXPECT_TRUE(found_refine_latency);
-  ASSERT_NE(registry.ring(), nullptr);
-  EXPECT_FALSE(registry.ring()->Recent().empty());
 }
 
 TEST(MetricsDifferentialTest, BatchMatchesSerialOnInstrumentedHistogram) {

@@ -11,10 +11,14 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,7 +26,9 @@
 #include "data/generators.h"
 #include "eval/metrics.h"
 #include "histogram/stholes.h"
+#include "obs/metrics.h"
 #include "serve/histogram_service.h"
+#include "serve/snapshot_io.h"
 #include "workload/query.h"
 #include "workload/workload.h"
 
@@ -323,6 +329,62 @@ TEST(ServeTest, EstimateBatchAnswersFromOneEpoch) {
   }
   EXPECT_GE(service.stats().reads_served,
             31u * setup.probes.size());
+}
+
+// Services sharing one metrics registry share its serve.service.* cells, but
+// each service's stats, snapshot watermark and Drain horizon must count only
+// its own feedback: a later service must not record an earlier one's items
+// as applied, and an idle service must not wait for feedback it never got.
+TEST(ServeTest, ServicesSharingARegistryKeepTheirOwnHorizons) {
+  ServeSetup setup = MakeSetup(400, 100, 10);
+  obs::MetricsRegistry registry;
+  ServiceConfig config;
+  config.metrics = &registry;
+
+  auto feed = [&](HistogramService& service, size_t items) {
+    for (size_t i = 0; i < items; ++i) {
+      ASSERT_EQ(service.SubmitFeedback(setup.train[i]),
+                FeedbackOutcome::kAccepted);
+    }
+    ASSERT_TRUE(service.Drain().ok());
+  };
+  {
+    HistogramService first(MakeHistogram(setup, 20), *setup.executor, config);
+    feed(first, 100);
+  }
+  HistogramService second(MakeHistogram(setup, 20), *setup.executor, config);
+  feed(second, 10);
+  const ServiceStats stats = second.stats();
+  EXPECT_EQ(stats.feedback_accepted, 10u);
+  EXPECT_EQ(stats.feedback_applied, 10u);
+  EXPECT_EQ(stats.staleness, 0u);
+  // The registry still aggregates both services.
+  EXPECT_EQ(registry.counter("serve.service.feedback_accepted").value(), 110u);
+
+  const std::string path = testing::TempDir() + "sthist_shared_registry.snap";
+  ASSERT_TRUE(second.SaveSnapshot(path).ok());
+  StatusOr<std::string> bytes = snapshot_io::ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  StatusOr<snapshot_io::ServiceSnapshot> saved =
+      snapshot_io::DecodeServiceSnapshot(*bytes);
+  ASSERT_TRUE(saved.ok());
+  EXPECT_EQ(saved->applied_feedback, 10u)
+      << "the watermark must count only this service's feedback";
+  std::remove(path.c_str());
+
+  // An idle third service has nothing to drain. Drain runs on a helper
+  // thread so a wrong horizon fails the test instead of hanging it; Stop
+  // releases such a drain either way.
+  HistogramService idle(MakeHistogram(setup, 20), *setup.executor, config);
+  std::future<Status> drained =
+      std::async(std::launch::async, [&idle] { return idle.Drain(); });
+  const bool returned =
+      drained.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  idle.Stop();
+  const Status status = drained.get();
+  EXPECT_TRUE(returned) << "Drain on an idle service waited for feedback "
+                           "accepted by other services";
+  EXPECT_TRUE(!returned || status.ok()) << status.ToString();
 }
 
 TEST(BoundedQueueTest, PushPopAndCloseSemantics) {

@@ -342,7 +342,7 @@ Status RunCluster(const Flags& flags) {
       if (!dims.empty()) dims += ",";
       dims += std::to_string(d);
     }
-    table.AddRow({"C" + std::to_string(i), dims,
+    table.AddRow({std::string("C").append(std::to_string(i)), dims,
                   FormatSize(clusters[i].members.size()),
                   FormatDouble(clusters[i].score, 0)});
   }
@@ -1586,7 +1586,6 @@ int main(int argc, char** argv) {
   // Process-wide metrics: installed before any instrumented component is
   // constructed, exported after the command finishes (--metrics-json).
   obs::MetricsRegistry registry;
-  registry.EnableTracing();
   obs::SetGlobalMetrics(&registry);
 
   Status status;
