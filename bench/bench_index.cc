@@ -7,13 +7,13 @@
 //
 // A second table isolates the probe layer itself: the flat SoA index
 // (FlatBoxIndex, the structure the estimators actually serve through)
-// head-to-head against the pointer-based RTree it replaced, on identical
-// entries and queries with verified-identical hit sets. The flat path must
-// hold >= 1.5x at 10k+ buckets — that ratio (and the end-to-end speedup) is
-// what the perf-smoke CI leg gates against bench/baselines/BENCH_index.json.
+// against a brute-force Box::Intersects scan over the same entries, with
+// verified-identical hit sets. The flat path must hold its per-size floor at
+// 10k and 50k buckets — those ratios (and the end-to-end speedup) are what
+// the perf-smoke CI leg gates against bench/baselines/BENCH_index.json.
 //
-// Large bucket trees are synthesized through STHoles::Deserialize (a root
-// over [0,1000]^2 holding a g x g grid of child buckets), which is how a
+// Large bucket trees are decoded from a framed STHB snapshot (a root over
+// [0,1000]^2 holding a g x g grid of child buckets), which is how a
 // deployment would hand a trained histogram to a serving replica.
 
 #include <algorithm>
@@ -27,37 +27,55 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/binfmt.h"
 #include "core/box.h"
 #include "core/simd.h"
 #include "histogram/stholes.h"
 #include "index/flat_index.h"
-#include "index/rtree.h"
 #include "workload/workload.h"
 
 namespace {
 
 using namespace sthist;
 
-// Serialized STHoles text: root bucket over [0,1000]^2 with a g x g grid of
-// children (g*g + 1 buckets total). Frequencies vary so estimates are
-// non-trivial.
-std::string GridHistogramText(size_t g) {
+// Appends one pre-order STHB bucket record: u32 depth | 2 x (f64 lo, f64 hi)
+// | f64 frequency.
+void AppendRecord(std::string* payload, uint32_t depth, double lo0,
+                  double hi0, double lo1, double hi1, double frequency) {
+  binfmt::AppendU32(payload, depth);
+  for (double v : {lo0, hi0, lo1, hi1, frequency}) {
+    binfmt::AppendF64(payload, v);
+  }
+}
+
+// STHoles decoded from a framed STHB snapshot: root bucket over
+// [0,1000]^2 with a g x g grid of children (g*g + 1 buckets total).
+// Frequencies vary so estimates are non-trivial. Exits on a decode failure.
+std::unique_ptr<STHoles> GridHistogram(size_t g) {
   const double width = 1000.0 / static_cast<double>(g);
-  std::string out = "STHoles v1 dim=2 buckets=" + std::to_string(g * g + 1) +
-                    "\n0 0 1000 0 1000 50000\n";
-  char buf[160];
+  std::string payload;
+  binfmt::AppendU32(&payload, 2);
+  binfmt::AppendU64(&payload, g * g + 1);
+  AppendRecord(&payload, 0, 0.0, 1000.0, 0.0, 1000.0, 50000.0);
   for (size_t i = 0; i < g; ++i) {
     for (size_t j = 0; j < g; ++j) {
-      std::snprintf(buf, sizeof(buf), "1 %.17g %.17g %.17g %.17g %.17g\n",
-                    static_cast<double>(i) * width,
-                    static_cast<double>(i + 1) * width,
-                    static_cast<double>(j) * width,
-                    static_cast<double>(j + 1) * width,
-                    static_cast<double>((i + j) % 7 + 1));
-      out += buf;
+      AppendRecord(&payload, 1, static_cast<double>(i) * width,
+                   static_cast<double>(i + 1) * width,
+                   static_cast<double>(j) * width,
+                   static_cast<double>(j + 1) * width,
+                   static_cast<double>((i + j) % 7 + 1));
     }
   }
-  return out;
+  STHolesConfig config;
+  config.max_buckets = g * g + 8;
+  StatusOr<std::unique_ptr<STHoles>> hist = STHoles::DeserializeBinary(
+      binfmt::Frame("STHB", STHoles::kBinaryFormatVersion, payload), config);
+  if (!hist.ok()) {
+    std::fprintf(stderr, "failed to decode g=%zu histogram: %s\n", g,
+                 hist.status().ToString().c_str());
+    std::exit(EXIT_FAILURE);
+  }
+  return *std::move(hist);
 }
 
 double Seconds(std::chrono::steady_clock::time_point start) {
@@ -84,9 +102,9 @@ Throughput Measure(const Workload& queries, size_t reps, EstimateFn&& fn) {
   return t;
 }
 
-// Raw probe throughput: repeats the workload against `fn(query, &out)` until
-// ~0.5s has elapsed, reusing one output vector so steady state is what gets
-// timed. Returns probes per second.
+// Raw probe throughput of one round: repeats the workload against
+// `fn(query, &out)` until ~0.1s has elapsed, reusing one output vector so
+// steady state is what gets timed. Returns probes per second.
 template <typename ProbeFn>
 double MeasureProbes(const Workload& queries, ProbeFn&& fn) {
   std::vector<uint64_t> out;
@@ -107,7 +125,7 @@ double MeasureProbes(const Workload& queries, ProbeFn&& fn) {
     }
     probes += queries.size();
     seconds = Seconds(start);
-  } while (seconds < 0.5);
+  } while (seconds < 0.1);
   if (sink == 0) std::fprintf(stderr, "(empty probe workload?)\n");
   return static_cast<double>(probes) / seconds;
 }
@@ -131,14 +149,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   double speedup_10k = 0.0;
   for (size_t g : grids) {
-    STHolesConfig config;
-    config.max_buckets = g * g + 8;
-    std::unique_ptr<STHoles> hist =
-        STHoles::Deserialize(GridHistogramText(g), config);
-    if (hist == nullptr) {
-      std::fprintf(stderr, "failed to deserialize g=%zu histogram\n", g);
-      return 1;
-    }
+    std::unique_ptr<STHoles> hist = GridHistogram(g);
 
     WorkloadConfig wc;
     wc.num_queries = 200;
@@ -197,42 +208,38 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // Probe layer head-to-head: FlatBoxIndex (SoA planes + vectorized
-  // kernel, DESIGN.md §15) vs the pointer-based RTree it replaced, on the
-  // same bucket boxes and the same queries. Hit sets are verified equal
-  // before timing.
+  // Probe layer: FlatBoxIndex (SoA planes + vectorized kernel, DESIGN.md
+  // §15) vs a brute-force Box::Intersects scan over the same bucket boxes
+  // and the same queries. Hit sets are verified equal before timing.
   std::printf("\nraw probe path (kernel: %s)\n",
               simd::LevelName(simd::ActiveLevel()));
-  std::printf("%9s %14s %14s %8s\n", "buckets", "rtree p/s", "flat p/s",
+  std::printf("%9s %14s %14s %8s\n", "buckets", "scan p/s", "flat p/s",
               "ratio");
 
-  double flat_vs_rtree_10k = 0.0;
-  double flat_vs_rtree_50k = 0.0;
+  // Floors at 10k and 50k buckets: at least 0.82 and 0.57 of the committed
+  // baseline ratios (16.3x, 42.0x in bench/baselines/BENCH_index.json), the
+  // shares of its baseline the earlier probe gate held at each size.
+  constexpr double kFlatVsScanFloor10k = 13.5;
+  constexpr double kFlatVsScanFloor50k = 24.0;
+  double flat_vs_scan_10k = 0.0;
+  double flat_vs_scan_50k = 0.0;
   for (size_t g : grids) {
-    STHolesConfig config;
-    config.max_buckets = g * g + 8;
-    std::unique_ptr<STHoles> hist =
-        STHoles::Deserialize(GridHistogramText(g), config);
-    if (hist == nullptr) {
-      std::fprintf(stderr, "failed to deserialize g=%zu histogram\n", g);
-      return 1;
-    }
+    std::unique_ptr<STHoles> hist = GridHistogram(g);
 
     // Index the non-root buckets — the same entry set BucketTreeIndex
     // maintains for the estimators.
-    std::vector<RTree::Entry> rtree_entries;
-    std::vector<FlatBoxIndex::Entry> flat_entries;
-    uint64_t id = 0;
+    std::vector<FlatBoxIndex::Entry> entries;
     for (const STHoles::BucketInfo& b : hist->Dump()) {
       if (b.depth == 0) continue;
-      rtree_entries.push_back({b.box, id});
-      flat_entries.push_back({b.box, id});
-      ++id;
+      entries.push_back({b.box, entries.size()});
     }
-    RTree rtree;
-    rtree.Bulk(std::move(rtree_entries));
     FlatBoxIndex flat;
-    flat.Bulk(std::move(flat_entries));
+    flat.Bulk(entries);
+    auto scan = [&](const Box& q, std::vector<uint64_t>* out) {
+      for (const FlatBoxIndex::Entry& e : entries) {
+        if (e.box.Intersects(q)) out->push_back(e.id);
+      }
+    };
 
     WorkloadConfig wc;
     wc.num_queries = 200;
@@ -243,36 +250,45 @@ int main(int argc, char** argv) {
     // Identical hit sets before timing: the ratio is only meaningful
     // because the answers are exactly the same.
     for (const Box& q : queries) {
-      std::vector<uint64_t> from_rtree, from_flat;
-      rtree.Probe(q, BoxOverlap::kOpenInterior, &from_rtree);
+      std::vector<uint64_t> from_scan, from_flat;
+      scan(q, &from_scan);
       flat.Probe(q, BoxOverlap::kOpenInterior, &from_flat);
-      if (SortedHits(std::move(from_rtree)) !=
+      if (SortedHits(std::move(from_scan)) !=
           SortedHits(std::move(from_flat))) {
         std::fprintf(stderr, "PROBE HIT-SET MISMATCH at g=%zu\n", g);
         return 1;
       }
     }
 
-    const double rtree_pps =
-        MeasureProbes(queries, [&](const Box& q, std::vector<uint64_t>* out) {
-          rtree.Probe(q, BoxOverlap::kOpenInterior, out);
-        });
-    const double flat_pps =
-        MeasureProbes(queries, [&](const Box& q, std::vector<uint64_t>* out) {
-          flat.Probe(q, BoxOverlap::kOpenInterior, out);
-        });
-    const double ratio = flat_pps / rtree_pps;
-    std::printf("%9zu %14.0f %14.0f %7.2fx\n", id, rtree_pps, flat_pps,
-                ratio);
+    // Alternating rounds, best of five per side: both contenders see the
+    // same host conditions, and a round slowed by a neighbouring process
+    // does not set either figure.
+    auto probe = [&](const Box& q, std::vector<uint64_t>* out) {
+      flat.Probe(q, BoxOverlap::kOpenInterior, out);
+    };
+    double scan_pps = 0.0;
+    double flat_pps = 0.0;
+    for (int round = 0; round < 5; ++round) {
+      scan_pps = std::max(scan_pps, MeasureProbes(queries, scan));
+      flat_pps = std::max(flat_pps, MeasureProbes(queries, probe));
+    }
+    const double ratio = flat_pps / scan_pps;
+    std::printf("%9zu %14.0f %14.0f %7.2fx\n", entries.size(), scan_pps,
+                flat_pps, ratio);
 
-    if (g == 100) flat_vs_rtree_10k = ratio;
-    if (g == 224) flat_vs_rtree_50k = ratio;
-    // Acceptance bar: >= 1.5x probe throughput over the pointer R-tree at
-    // 10k+ buckets.
-    if (g >= 100 && ratio < 1.5) {
+    double floor = 0.0;
+    if (g == 100) {
+      flat_vs_scan_10k = ratio;
+      floor = kFlatVsScanFloor10k;
+    }
+    if (g == 224) {
+      flat_vs_scan_50k = ratio;
+      floor = kFlatVsScanFloor50k;
+    }
+    if (ratio < floor) {
       std::fprintf(stderr,
-                   "flat probe ratio %.2fx below 1.5x at %zu buckets\n",
-                   ratio, id);
+                   "flat probe ratio %.2fx below %.1fx at %zu buckets\n",
+                   ratio, floor, entries.size());
       ok = false;
     }
   }
@@ -280,8 +296,8 @@ int main(int argc, char** argv) {
   if (!sthist::bench::WriteBenchArtifact(
           options, "index",
           {{"speedup_10k", speedup_10k},
-           {"flat_vs_rtree_10k", flat_vs_rtree_10k},
-           {"flat_vs_rtree_50k", flat_vs_rtree_50k}})) {
+           {"flat_vs_scan_10k", flat_vs_scan_10k},
+           {"flat_vs_scan_50k", flat_vs_scan_50k}})) {
     return 1;
   }
 

@@ -55,8 +55,8 @@ Fixture& FixtureFor(int64_t buckets) {
   return *fixtures[slot];
 }
 
-// Indexed path (the production Estimate, served through the bucket R-tree
-// after its lazy build).
+// Indexed path (the production Estimate, served through the flat bucket
+// index after its lazy build).
 void BM_Estimate(benchmark::State& state) {
   Fixture& f = FixtureFor(state.range(0));
   (void)f.hist->EstimateBatch(f.queries, 1);  // Force the index build.

@@ -8,6 +8,11 @@
 // Exits non-zero if a read ever blocks long enough to suggest reader/writer
 // coupling (concurrent-refinement throughput collapsing far below idle
 // throughput at the same thread count).
+//
+// Every throughput figure comes from a fixed-length read window (250 ms,
+// 1 s under STHIST_FULL=1). A live window opens only after the service has
+// published feedback from the saturating feeder, so it always measures
+// reads racing real publishes rather than the feeder's start-up.
 
 #include <algorithm>
 #include <atomic>
@@ -15,6 +20,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -74,62 +80,86 @@ struct Throughput {
   double max_publish_ms = 0.0;
 };
 
-// Runs `readers` threads, each issuing `reads_per_thread` estimates against
-// the service; when `refine` is set, a feeder thread keeps the feedback
-// queue saturated for the whole measurement window.
-Throughput MeasureReads(const ServeBenchSetup& setup, size_t buckets,
-                        size_t readers, size_t reads_per_thread, bool refine) {
-  HistogramService service(MakeTrainedHistogram(setup, buckets),
-                           *setup.executor);
-  ServiceStats before = service.stats();
-
-  std::atomic<bool> start{false};
+// Reads per second that `readers` threads sustain against `service` over a
+// `window` of wall time. With `feed` set, a feeder thread keeps the
+// feedback queue saturated (each item tagged with `served_estimate`), and
+// the window opens only once the service has published some of that
+// feedback; a service that does not publish within 10 s fails the bench.
+double ReadWindow(HistogramService& service, const ServeBenchSetup& setup,
+                  size_t readers, std::chrono::milliseconds window, bool feed,
+                  double served_estimate =
+                      std::numeric_limits<double>::quiet_NaN()) {
   std::atomic<bool> stop_feeder{false};
   std::thread feeder;
-  if (refine) {
+  if (feed) {
+    const size_t published = service.stats().publishes;
     feeder = std::thread([&] {
-      while (!start.load()) std::this_thread::yield();
       size_t i = 0;
       while (!stop_feeder.load()) {
-        (void)service.SubmitFeedback(setup.feedback[i % setup.feedback.size()]);
+        (void)service.SubmitFeedback(setup.feedback[i % setup.feedback.size()],
+                                     served_estimate);
         ++i;
       }
     });
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (service.stats().publishes == published) {
+      if (std::chrono::steady_clock::now() > give_up) {
+        std::fprintf(stderr, "FAIL: the feeder's feedback was never "
+                             "published\n");
+        std::exit(EXIT_FAILURE);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
   }
 
+  std::atomic<bool> start{false};
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> reads{0};
+  std::atomic<double> sink{0.0};  // Defeats dead-code elimination.
   std::vector<std::thread> threads;
   threads.reserve(readers);
-  std::atomic<double> sink{0.0};  // Defeats dead-code elimination.
   for (size_t r = 0; r < readers; ++r) {
     threads.emplace_back([&, r] {
       while (!start.load()) std::this_thread::yield();
       double local = 0.0;
-      for (size_t i = 0; i < reads_per_thread; ++i) {
+      size_t i = 0;
+      for (; !stop.load(std::memory_order_relaxed); ++i) {
         local += service.Estimate(setup.probes[(r + i) % setup.probes.size()]);
       }
+      reads.fetch_add(i);
       sink.fetch_add(local);
     });
   }
-
-  auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
   start.store(true);
-  for (std::thread& t : threads) t.join();
-  double seconds =
+  std::this_thread::sleep_for(window);
+  stop.store(true);
+  const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  for (std::thread& t : threads) t.join();
   stop_feeder.store(true);
   if (feeder.joinable()) feeder.join();
-  service.Stop();
+  return static_cast<double>(reads.load()) / seconds;
+}
 
-  ServiceStats after = service.stats();
+// One read window against a fresh service over a pre-trained histogram,
+// with the refiner idle or (`refine`) live under a saturating feeder.
+Throughput MeasureReads(const ServeBenchSetup& setup, size_t buckets,
+                        size_t readers, std::chrono::milliseconds window,
+                        bool refine) {
+  HistogramService service(MakeTrainedHistogram(setup, buckets),
+                           *setup.executor);
   Throughput result;
   result.reads_per_second =
-      static_cast<double>(readers * reads_per_thread) / seconds;
-  // Deltas, not absolutes: every measured service shares the process-wide
-  // registry, so its cells carry over from the previous rows.
-  result.publishes = after.snapshot_epoch - before.snapshot_epoch;
-  result.feedback_applied = after.feedback_applied - before.feedback_applied;
-  result.max_publish_ms = after.max_publish_seconds * 1e3;
+      ReadWindow(service, setup, readers, window, refine);
+  service.Stop();
+
+  const ServiceStats stats = service.stats();
+  result.publishes = stats.snapshot_epoch;
+  result.feedback_applied = stats.feedback_applied;
+  result.max_publish_ms = stats.max_publish_seconds * 1e3;
   return result;
 }
 
@@ -148,7 +178,7 @@ struct PublishProfile {
 };
 
 PublishProfile MeasurePublish(const ServeBenchSetup& setup, size_t buckets,
-                              size_t readers, size_t reads_per_thread,
+                              size_t readers, std::chrono::milliseconds window,
                               bool clone_publish) {
   obs::MetricsRegistry registry;
   ServiceConfig config;
@@ -157,42 +187,10 @@ PublishProfile MeasurePublish(const ServeBenchSetup& setup, size_t buckets,
   HistogramService service(MakeTrainedHistogram(setup, buckets),
                            *setup.executor, config);
 
-  std::atomic<bool> start{false};
-  std::atomic<bool> stop_feeder{false};
-  std::thread feeder([&] {
-    while (!start.load()) std::this_thread::yield();
-    size_t i = 0;
-    while (!stop_feeder.load()) {
-      (void)service.SubmitFeedback(setup.feedback[i % setup.feedback.size()]);
-      ++i;
-    }
-  });
-
-  std::vector<std::thread> threads;
-  threads.reserve(readers);
-  std::atomic<double> sink{0.0};
-  for (size_t r = 0; r < readers; ++r) {
-    threads.emplace_back([&, r] {
-      while (!start.load()) std::this_thread::yield();
-      double local = 0.0;
-      for (size_t i = 0; i < reads_per_thread; ++i) {
-        local += service.Estimate(setup.probes[(r + i) % setup.probes.size()]);
-      }
-      sink.fetch_add(local);
-    });
-  }
-  auto t0 = std::chrono::steady_clock::now();
-  start.store(true);
-  for (std::thread& t : threads) t.join();
-  double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  stop_feeder.store(true);
-  feeder.join();
+  PublishProfile profile;
+  profile.live_rps = ReadWindow(service, setup, readers, window, true);
   service.Stop();
 
-  PublishProfile profile;
-  profile.live_rps = static_cast<double>(readers * reads_per_thread) / seconds;
   for (const auto& latency : registry.Snapshot().latencies) {
     if (latency.name == "serve.service.publish_seconds") {
       profile.publishes = latency.count;
@@ -212,9 +210,9 @@ PublishProfile MeasurePublish(const ServeBenchSetup& setup, size_t buckets,
 // oracle), so any throughput loss would mean readers couple to the rebuild —
 // the hot-swap contract says they never do.
 double MeasureRebuildWindowRatio(const ServeBenchSetup& setup, size_t buckets,
-                                 size_t readers, size_t reads_per_thread) {
-  Throughput steady =
-      MeasureReads(setup, buckets, readers, reads_per_thread, true);
+                                 size_t readers,
+                                 std::chrono::milliseconds window) {
+  Throughput steady = MeasureReads(setup, buckets, readers, window, true);
 
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
@@ -265,38 +263,8 @@ double MeasureRebuildWindowRatio(const ServeBenchSetup& setup, size_t buckets,
 
   // Rebuild parked in flight: measure reads under the same live feedback
   // load as the steady-state row.
-  std::atomic<bool> start{false};
-  std::atomic<bool> stop_feeder{false};
-  std::thread feeder([&] {
-    while (!start.load()) std::this_thread::yield();
-    size_t i = 0;
-    while (!stop_feeder.load()) {
-      (void)service.SubmitFeedback(setup.feedback[i % setup.feedback.size()],
-                                   1e9);
-      ++i;
-    }
-  });
-  std::vector<std::thread> threads;
-  threads.reserve(readers);
-  std::atomic<double> sink{0.0};
-  for (size_t r = 0; r < readers; ++r) {
-    threads.emplace_back([&, r] {
-      while (!start.load()) std::this_thread::yield();
-      double local = 0.0;
-      for (size_t i = 0; i < reads_per_thread; ++i) {
-        local += service.Estimate(setup.probes[(r + i) % setup.probes.size()]);
-      }
-      sink.fetch_add(local);
-    });
-  }
-  auto t0 = std::chrono::steady_clock::now();
-  start.store(true);
-  for (std::thread& t : threads) t.join();
-  double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  stop_feeder.store(true);
-  feeder.join();
+  const double rebuild_rps =
+      ReadWindow(service, setup, readers, window, true, 1e9);
   {
     std::lock_guard<std::mutex> lock(gate_mutex);
     release_builder = true;
@@ -304,8 +272,6 @@ double MeasureRebuildWindowRatio(const ServeBenchSetup& setup, size_t buckets,
   gate_cv.notify_all();
   service.Stop();
 
-  double rebuild_rps =
-      static_cast<double>(readers * reads_per_thread) / seconds;
   std::printf(
       "rebuild window: %.0f reads/s vs steady %.0f reads/s "
       "(%zu readers, swap %s)\n",
@@ -327,20 +293,19 @@ int main(int argc, char** argv) {
 
   ServeBenchSetup setup = MakeServeSetup(scale, options.seed);
   const size_t buckets = 100;
-  const size_t reads_per_thread = scale.full ? 20000 : 5000;
+  const std::chrono::milliseconds window(scale.full ? 1000 : 250);
 
-  std::printf("cross 2-d, %zu tuples, %zu-bucket STHoles, %zu reads/thread\n",
-              setup.g.data.size(), buckets, reads_per_thread);
+  std::printf("cross 2-d, %zu tuples, %zu-bucket STHoles, %lld ms windows\n",
+              setup.g.data.size(), buckets,
+              static_cast<long long>(window.count()));
 
   TablePrinter table({"readers", "idle refiner reads/s", "live refiner reads/s",
                       "ratio", "publishes", "feedback applied",
                       "max publish ms"});
   double worst_ratio = 1e300;
   for (size_t readers : {1u, 2u, 4u, 8u}) {
-    Throughput idle =
-        MeasureReads(setup, buckets, readers, reads_per_thread, false);
-    Throughput live =
-        MeasureReads(setup, buckets, readers, reads_per_thread, true);
+    Throughput idle = MeasureReads(setup, buckets, readers, window, false);
+    Throughput live = MeasureReads(setup, buckets, readers, window, true);
     double ratio = live.reads_per_second / idle.reads_per_second;
     worst_ratio = std::min(worst_ratio, ratio);
     table.AddRow({FormatSize(readers), FormatDouble(idle.reads_per_second, 0),
@@ -355,10 +320,8 @@ int main(int argc, char** argv) {
   // machine-independent in *ratio* form: both runs execute on the same box,
   // so the deep clone's per-publish cost must exceed the COW handoff's
   // regardless of absolute speed.
-  PublishProfile cow =
-      MeasurePublish(setup, buckets, 2, reads_per_thread, false);
-  PublishProfile clone =
-      MeasurePublish(setup, buckets, 2, reads_per_thread, true);
+  PublishProfile cow = MeasurePublish(setup, buckets, 2, window, false);
+  PublishProfile clone = MeasurePublish(setup, buckets, 2, window, true);
   const double publish_mean_ratio =
       clone.publish_mean_ms / std::max(cow.publish_mean_ms, 1e-12);
   const double publish_p99_ratio =
@@ -377,7 +340,7 @@ int main(int argc, char** argv) {
   // stay within 10% of the live steady state (the ISSUE's acceptance bound)
   // on a machine with cores to spare; tighter boxes only report.
   const double rebuild_ratio =
-      MeasureRebuildWindowRatio(setup, buckets, 2, reads_per_thread);
+      MeasureRebuildWindowRatio(setup, buckets, 2, window);
   const bool many_cores = std::thread::hardware_concurrency() > 2;
   const double rebuild_floor = many_cores ? 0.9 : 0.0;
 

@@ -2,7 +2,6 @@
 #define STHIST_CORE_BOUNDED_QUEUE_H_
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
@@ -29,9 +28,9 @@ enum class PushResult {
 /// item and the caller decides what to do with the rejection (the service
 /// counts it as a drop — admission control by shedding the newest feedback,
 /// never by stalling a query thread). Consumers drain up to a whole batch
-/// per call so a backlogged refiner amortizes its lock traffic: `PopBatch`
-/// blocks until items arrive or the queue is closed, `TryPopBatch` never
-/// blocks (what a serving cell's pool-scheduled run uses).
+/// per call so a backlogged refiner amortizes its lock traffic, and never
+/// block either: a serving cell's run is scheduled onto a pool when items
+/// arrive, so nothing ever waits on the queue itself.
 ///
 /// Safe for any number of producers and consumers; the serving layer uses it
 /// MPSC (many feedback submitters, one refine run at a time).
@@ -48,37 +47,16 @@ class BoundedQueue {
   /// Enqueues `item` unless the queue is full or closed; never blocks.
   /// Returns kAccepted, or the rejection cause.
   PushResult TryPush(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return PushResult::kClosed;
-      if (items_.size() >= capacity_) return PushResult::kFull;
-      items_.push_back(std::move(item));
-    }
-    ready_cv_.notify_one();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_) return PushResult::kClosed;
+    if (items_.size() >= capacity_) return PushResult::kFull;
+    items_.push_back(std::move(item));
     return PushResult::kAccepted;
   }
 
-  /// Moves up to `max_items` into `*out` (appended; existing contents are
-  /// cleared first), blocking until at least one item is available or the
-  /// queue is closed. Returns the number popped — 0 only when the queue is
-  /// closed and fully drained, the consumer's termination signal.
-  size_t PopBatch(std::vector<T>* out, size_t max_items) {
-    STHIST_CHECK(max_items > 0);
-    out->clear();
-    std::unique_lock<std::mutex> lock(mutex_);
-    ready_cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    size_t n = std::min(max_items, items_.size());
-    for (size_t i = 0; i < n; ++i) {
-      out->push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    return n;
-  }
-
-  /// Non-blocking PopBatch for consumers that must never park on an empty
-  /// queue (a pool worker running one serving cell among many): moves up to
-  /// `max_items` into `*out` (cleared first) and returns how many, possibly
-  /// 0.
+  /// Moves up to `max_items` into `*out` (cleared first) and returns how
+  /// many, possibly 0; never blocks. A closed queue still yields what it
+  /// holds; once Close() has returned, 0 means closed and fully drained.
   size_t TryPopBatch(std::vector<T>* out, size_t max_items) {
     STHIST_CHECK(max_items > 0);
     out->clear();
@@ -92,13 +70,10 @@ class BoundedQueue {
   }
 
   /// Closes the queue: subsequent pushes are refused, and consumers drain
-  /// what remains before PopBatch returns 0. Idempotent.
+  /// what remains. Idempotent.
   void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    ready_cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = true;
   }
 
   /// Instantaneous item count (advisory under concurrency).
@@ -117,7 +92,6 @@ class BoundedQueue {
  private:
   const size_t capacity_;
   mutable std::mutex mutex_;
-  std::condition_variable ready_cv_;  // Signals consumers: item or closed.
   std::deque<T> items_;
   bool closed_ = false;
 };

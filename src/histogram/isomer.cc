@@ -60,6 +60,7 @@ IsomerHistogram::IsomerHistogram(const Box& domain, double total_tuples,
   metrics_.refine_seconds = reg->latency("histogram.isomer.refine_seconds");
   metrics_.solve_seconds = reg->latency("histogram.isomer.solve_seconds");
   metrics_.index_builds = reg->counter("index.bucket_tree.builds");
+  metrics_.index_appends = reg->counter("index.bucket_tree.appends");
   metrics_.index_invalidations = reg->counter("index.bucket_tree.invalidations");
   metrics_.index_probes = reg->counter("index.bucket_tree.probes");
   metrics_.index_node_visits = reg->counter("index.bucket_tree.node_visits");
@@ -307,6 +308,7 @@ void IsomerHistogram::DrillHole(Bucket* b, const Box& candidate,
     InvalidateIndex();
   } else if (index_->ready.load(std::memory_order_relaxed)) {
     index_->index.AppendChild(b);
+    metrics_.index_appends.Inc();
   } else {
     index_->estimates_since_change.store(0, std::memory_order_relaxed);
   }

@@ -119,6 +119,7 @@ class IsomerHistogram : public Histogram {
     obs::LatencyHistogram refine_seconds;
     obs::LatencyHistogram solve_seconds;
     obs::Counter index_builds;
+    obs::Counter index_appends;
     obs::Counter index_invalidations;
     obs::Counter index_probes;
     obs::Counter index_node_visits;

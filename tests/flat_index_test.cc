@@ -69,7 +69,8 @@ struct ScalarGuard {
   ~ScalarGuard() { simd::ForceScalarForTest(false); }
 };
 
-// Reference predicate for BoxOverlap::kClosed (same as rtree_test).
+// Reference predicate for BoxOverlap::kClosed: closed intervals intersect in
+// every dimension (touching boundaries and zero-extent boxes count).
 bool ClosedOverlap(const Box& a, const Box& b) {
   for (size_t d = 0; d < a.dim(); ++d) {
     if (a.lo(d) > b.hi(d) || b.lo(d) > a.hi(d)) return false;

@@ -180,7 +180,10 @@ TEST(STHolesDifferentialTest, SerializationRoundTripPreservesIdentity) {
   wc.seed = 9;
   for (const Box& q : MakeWorkload(g.domain, wc)) h.Refine(q, executor);
 
-  auto loaded = STHoles::Deserialize(h.Serialize(), config);
+  StatusOr<std::unique_ptr<STHoles>> decoded =
+      STHoles::DeserializeBinary(h.SerializeBinary(), config);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  std::unique_ptr<STHoles> loaded = *std::move(decoded);
   ASSERT_NE(loaded, nullptr);
   loaded->CheckInvariants();
 

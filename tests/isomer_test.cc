@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/rng.h"
 #include "data/generators.h"
 #include "histogram/stholes.h"
+#include "obs/metrics.h"
 #include "workload/query.h"
 #include "workload/workload.h"
 
@@ -194,6 +197,42 @@ TEST(IsomerTest, ComparableToSTHolesOnSimpleData) {
   }
   EXPECT_LT(mae(isomer), 0.6 * uniform_mae);
   EXPECT_LT(mae(isomer), 3.0 * mae(holes));
+}
+
+// A drill that migrates no children leaves every existing index slot where
+// it was, so a built index follows it by appending (DESIGN.md §10) — and the
+// append shows up in index.bucket_tree.appends, as it does for STHoles.
+TEST(IsomerTest, PureDrillOnBuiltIndexCountsAnAppend) {
+  Dataset data(2);
+  Rng rng(9);
+  Point p(2);
+  for (int i = 0; i < 1000; ++i) {
+    p[0] = rng.Uniform(0, 100);
+    p[1] = rng.Uniform(0, 100);
+    data.Append(p);
+  }
+  Executor executor(data);
+
+  obs::MetricsRegistry registry;
+  IsomerConfig config = Config(20);
+  config.metrics = &registry;
+  IsomerHistogram h(Box::Cube(2, 0, 100), 1000, config);
+  h.Refine(Box::Cube(2, 10, 30), executor);
+
+  // Repeated estimates on an unchanged tree build the index.
+  const Box probe = Box::Cube(2, 50, 90);
+  for (int i = 0; i < 3; ++i) (void)h.Estimate(probe);
+  ASSERT_EQ(registry.counter("index.bucket_tree.builds").value(), 1u);
+
+  // A query disjoint from the existing hole drills the root without
+  // migrating children.
+  const size_t before = h.bucket_count();
+  h.Refine(Box::Cube(2, 60, 80), executor);
+  ASSERT_EQ(h.bucket_count(), before + 1);
+  EXPECT_GT(registry.counter("index.bucket_tree.appends").value(), 0u);
+  EXPECT_EQ(registry.counter("index.bucket_tree.invalidations").value(), 0u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(h.Estimate(probe)),
+            std::bit_cast<uint64_t>(h.EstimateLinear(probe)));
 }
 
 }  // namespace

@@ -396,16 +396,16 @@ TEST(BoundedQueueTest, PushPopAndCloseSemantics) {
   EXPECT_EQ(queue.size(), 3u);
 
   std::vector<int> batch;
-  EXPECT_EQ(queue.PopBatch(&batch, 2), 2u);
+  EXPECT_EQ(queue.TryPopBatch(&batch, 2), 2u);
   EXPECT_EQ(batch, (std::vector<int>{1, 2}));
   EXPECT_EQ(queue.TryPush(4), PushResult::kAccepted);
 
   queue.Close();
   EXPECT_EQ(queue.TryPush(5), PushResult::kClosed)
       << "closed queue refuses items";
-  EXPECT_EQ(queue.PopBatch(&batch, 10), 2u) << "drains the remainder";
+  EXPECT_EQ(queue.TryPopBatch(&batch, 10), 2u) << "drains the remainder";
   EXPECT_EQ(batch, (std::vector<int>{3, 4}));
-  EXPECT_EQ(queue.PopBatch(&batch, 10), 0u) << "terminal signal";
+  EXPECT_EQ(queue.TryPopBatch(&batch, 10), 0u) << "closed and drained";
 }
 
 TEST(BoundedQueueTest, ManyProducersOneConsumerLosesNothing) {
@@ -428,7 +428,18 @@ TEST(BoundedQueueTest, ManyProducersOneConsumerLosesNothing) {
   size_t consumed = 0;
   std::thread consumer([&] {
     std::vector<size_t> batch;
-    while (queue.PopBatch(&batch, 32) > 0) consumed += batch.size();
+    // Consume until the queue is closed and empty. `closed` is read before
+    // the pop: no push lands after Close(), so an empty pop that follows a
+    // closed read means nothing is left.
+    for (;;) {
+      const bool closed = queue.closed();
+      const size_t n = queue.TryPopBatch(&batch, 32);
+      consumed += n;
+      if (n == 0) {
+        if (closed) break;
+        std::this_thread::yield();
+      }
+    }
   });
 
   for (std::thread& t : producers) t.join();

@@ -525,7 +525,7 @@ Status RunSweepCommand(const Flags& flags) {
 Status RunInspect(const Flags& flags) {
   STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
       {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_CLUSTER_FLAGS,
-       "buckets", "train", "volume", "init", "out"}));
+       "buckets", "train", "volume", "init"}));
   StatusOr<GeneratedData> g = ResolveDataset(flags);
   if (!g.ok()) return g.status();
   Experiment experiment(*std::move(g));
@@ -550,17 +550,6 @@ Status RunInspect(const Flags& flags) {
   CensusResult census = CensusSubspaceBuckets(hist);
   std::printf("%zu buckets, %zu subspace\n", hist.bucket_count(),
               census.subspace_buckets);
-  if (flags.Has("out")) {
-    std::string path = flags.Str("out", "");
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      return Status::IoError("cannot write " + path);
-    }
-    std::string text = hist.Serialize();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    std::printf("serialized histogram to %s\n", path.c_str());
-  }
   return Status::Ok();
 }
 
@@ -1480,7 +1469,7 @@ void PrintUsage() {
       "              --threads N (0 = all cores) [--estimator NAME]\n"
       "              + experiment flags\n"
       "  inspect     print the bucket tree after training\n"
-      "              --buckets N --train N [--init] [--out hist.txt]\n"
+      "              --buckets N --train N [--init]\n"
       "  snapshot    versioned binary snapshot files (DESIGN.md §17)\n"
       "              save:   train a histogram and persist it\n"
       "                      --out file.snap [--estimator NAME]\n"
