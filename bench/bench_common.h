@@ -2,15 +2,44 @@
 #define STHIST_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "data/generators.h"
 #include "eval/runner.h"
+#include "histogram/histogram.h"
 #include "obs/metrics.h"
 
 namespace sthist::bench {
+
+/// The deep-clone side of the cow-vs-clone publish gates (DESIGN.md §17):
+/// wraps a histogram so that Snapshot() returns a full Clone() of it. A
+/// service or fleet serving the wrapper publishes the way serving did before
+/// copy-on-write trees, and its readers probe a bare clone of the inner
+/// histogram. Refinement forwards, so the published clones are
+/// bitwise-identical to copy-on-write snapshots of the same feedback.
+class DeepClonePublish : public Histogram {
+ public:
+  explicit DeepClonePublish(std::unique_ptr<Histogram> inner)
+      : inner_(std::move(inner)) {}
+
+  double Estimate(const Box& query) const override {
+    return inner_->Estimate(query);
+  }
+  std::unique_ptr<Histogram> Clone() const override { return inner_->Clone(); }
+  std::shared_ptr<const Histogram> Snapshot() const override {
+    return std::shared_ptr<const Histogram>(inner_->Clone());
+  }
+  void Refine(const Box& query, const CardinalityOracle& oracle) override {
+    inner_->Refine(query, oracle);
+  }
+  size_t bucket_count() const override { return inner_->bucket_count(); }
+
+ private:
+  std::unique_ptr<Histogram> inner_;
+};
 
 /// Approximate p99 from the fixed log-scale latency buckets: the upper bound
 /// of the bucket holding the 99th-percentile observation (max for overflow).

@@ -86,9 +86,11 @@ struct FleetRow {
 /// publish-latency histogram and the counters cover exactly this row. Idle
 /// is measured first (pure snapshot reads), then the same readers rerun with
 /// feeder threads keeping every shard queue supplied.
+/// With `deep_clone` every tenant is served through DeepClonePublish, so
+/// every shard publish deep-copies its tree (the cow-vs-clone head-to-head).
 FleetRow MeasureFleet(const FleetBenchSetup& setup, size_t tenants,
                       size_t readers, size_t reads_per_thread,
-                      uint64_t seed, bool clone_publish = false) {
+                      uint64_t seed, bool deep_clone = false) {
   obs::MetricsRegistry registry;
 
   FleetConfig fc;
@@ -96,7 +98,6 @@ FleetRow MeasureFleet(const FleetBenchSetup& setup, size_t tenants,
   fc.queue_capacity = 256;
   fc.publish_batch = 16;
   fc.seed = seed;
-  fc.clone_publish = clone_publish;
   fc.metrics = &registry;
   ServiceFleet fleet(fc);
 
@@ -107,13 +108,14 @@ FleetRow MeasureFleet(const FleetBenchSetup& setup, size_t tenants,
     const FleetVariant& v = setup.variant_of(t);
     STHolesConfig hc;
     hc.max_buckets = 20;
-    auto hist = std::make_unique<STHoles>(
+    std::unique_ptr<Histogram> hist = std::make_unique<STHoles>(
         v.g.domain, static_cast<double>(v.g.data.size()), hc);
     // A light pre-train (offset per tenant) so served snapshots carry a
     // real bucket tree instead of the single root bucket.
     for (size_t i = 0; i < 8; ++i) {
       hist->Refine(v.feedback[(t + i) % v.feedback.size()], *v.executor);
     }
+    if (deep_clone) hist = std::make_unique<DeepClonePublish>(std::move(hist));
     if (!fleet.AddTenant(keys.back(), std::move(hist), *v.executor).ok()) {
       std::fprintf(stderr, "FAIL: AddTenant(%s)\n", keys.back().c_str());
       std::exit(EXIT_FAILURE);

@@ -73,6 +73,9 @@ std::unique_ptr<STHoles> MakeTrainedHistogram(const ServeBenchSetup& setup,
   return hist;
 }
 
+// One read window. Publishes and feedback applied are counter deltas
+// between the window's open and close, so they exclude both the feeder's
+// start-up and the backlog Stop() drains after the window.
 struct Throughput {
   double reads_per_second = 0.0;
   size_t publishes = 0;
@@ -85,10 +88,11 @@ struct Throughput {
 // feedback queue saturated (each item tagged with `served_estimate`), and
 // the window opens only once the service has published some of that
 // feedback; a service that does not publish within 10 s fails the bench.
-double ReadWindow(HistogramService& service, const ServeBenchSetup& setup,
-                  size_t readers, std::chrono::milliseconds window, bool feed,
-                  double served_estimate =
-                      std::numeric_limits<double>::quiet_NaN()) {
+Throughput ReadWindow(HistogramService& service, const ServeBenchSetup& setup,
+                      size_t readers, std::chrono::milliseconds window,
+                      bool feed,
+                      double served_estimate =
+                          std::numeric_limits<double>::quiet_NaN()) {
   std::atomic<bool> stop_feeder{false};
   std::thread feeder;
   if (feed) {
@@ -131,6 +135,7 @@ double ReadWindow(HistogramService& service, const ServeBenchSetup& setup,
       sink.fetch_add(local);
     });
   }
+  const ServiceStats opened = service.stats();
   const auto t0 = std::chrono::steady_clock::now();
   start.store(true);
   std::this_thread::sleep_for(window);
@@ -138,10 +143,16 @@ double ReadWindow(HistogramService& service, const ServeBenchSetup& setup,
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  const ServiceStats closed = service.stats();
   for (std::thread& t : threads) t.join();
   stop_feeder.store(true);
   if (feeder.joinable()) feeder.join();
-  return static_cast<double>(reads.load()) / seconds;
+
+  Throughput result;
+  result.reads_per_second = static_cast<double>(reads.load()) / seconds;
+  result.publishes = closed.publishes - opened.publishes;
+  result.feedback_applied = closed.feedback_applied - opened.feedback_applied;
+  return result;
 }
 
 // One read window against a fresh service over a pre-trained histogram,
@@ -151,21 +162,16 @@ Throughput MeasureReads(const ServeBenchSetup& setup, size_t buckets,
                         bool refine) {
   HistogramService service(MakeTrainedHistogram(setup, buckets),
                            *setup.executor);
-  Throughput result;
-  result.reads_per_second =
-      ReadWindow(service, setup, readers, window, refine);
+  Throughput result = ReadWindow(service, setup, readers, window, refine);
   service.Stop();
-
-  const ServiceStats stats = service.stats();
-  result.publishes = stats.snapshot_epoch;
-  result.feedback_applied = stats.feedback_applied;
-  result.max_publish_ms = stats.max_publish_seconds * 1e3;
+  result.max_publish_ms = service.stats().max_publish_seconds * 1e3;
   return result;
 }
 
 // COW-vs-clone publish head-to-head. Both services run the identical live
-// load (saturating feeder + concurrent readers); the only difference is
-// ServiceConfig::clone_publish. Each run records into a private registry so
+// load (saturating feeder + concurrent readers); the only difference is that
+// the clone side serves its histogram through DeepClonePublish, so every
+// publish deep-copies the tree. Each run records into a private registry so
 // the publish-latency histogram covers exactly that run. The COW publish
 // hands out the working tree's shared root in O(touched path), so its
 // publish cost must be strictly below the deep clone's — that is the whole
@@ -179,16 +185,17 @@ struct PublishProfile {
 
 PublishProfile MeasurePublish(const ServeBenchSetup& setup, size_t buckets,
                               size_t readers, std::chrono::milliseconds window,
-                              bool clone_publish) {
+                              bool deep_clone) {
   obs::MetricsRegistry registry;
   ServiceConfig config;
-  config.clone_publish = clone_publish;
   config.metrics = &registry;
-  HistogramService service(MakeTrainedHistogram(setup, buckets),
-                           *setup.executor, config);
+  std::unique_ptr<Histogram> hist = MakeTrainedHistogram(setup, buckets);
+  if (deep_clone) hist = std::make_unique<DeepClonePublish>(std::move(hist));
+  HistogramService service(std::move(hist), *setup.executor, config);
 
   PublishProfile profile;
-  profile.live_rps = ReadWindow(service, setup, readers, window, true);
+  profile.live_rps =
+      ReadWindow(service, setup, readers, window, true).reads_per_second;
   service.Stop();
 
   for (const auto& latency : registry.Snapshot().latencies) {
@@ -264,7 +271,7 @@ double MeasureRebuildWindowRatio(const ServeBenchSetup& setup, size_t buckets,
   // Rebuild parked in flight: measure reads under the same live feedback
   // load as the steady-state row.
   const double rebuild_rps =
-      ReadWindow(service, setup, readers, window, true, 1e9);
+      ReadWindow(service, setup, readers, window, true, 1e9).reads_per_second;
   {
     std::lock_guard<std::mutex> lock(gate_mutex);
     release_builder = true;
@@ -300,7 +307,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(window.count()));
 
   TablePrinter table({"readers", "idle refiner reads/s", "live refiner reads/s",
-                      "ratio", "publishes", "feedback applied",
+                      "ratio", "window publishes", "window applied",
                       "max publish ms"});
   double worst_ratio = 1e300;
   for (size_t readers : {1u, 2u, 4u, 8u}) {

@@ -40,8 +40,7 @@ HistogramService::HistogramService(std::unique_ptr<Histogram> initial,
       registry_(config.metrics != nullptr ? config.metrics
                                           : obs::GlobalMetrics()) {
   STHIST_CHECK(initial != nullptr);
-  std::shared_ptr<const Histogram> first =
-      ServingCell::PublishableSnapshot(*initial, config_.clone_publish);
+  std::shared_ptr<const Histogram> first = initial->Snapshot();
   STHIST_CHECK_MSG(first != nullptr,
                    "HistogramService needs a histogram supporting Clone()");
   snapshot_saves_ = registry_->counter("serve.snapshot.saves");

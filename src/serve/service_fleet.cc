@@ -92,8 +92,7 @@ Status ServiceFleet::AddTenant(std::string_view key,
   if (initial == nullptr) {
     return Status::InvalidArgument("tenant histogram must be non-null");
   }
-  std::shared_ptr<const Histogram> first =
-      ServingCell::PublishableSnapshot(*initial, config_.clone_publish);
+  std::shared_ptr<const Histogram> first = initial->Snapshot();
   if (first == nullptr) {
     return StatusF(StatusCode::kInvalidArgument,
                    "tenant '%.*s' needs a histogram supporting Clone()",
@@ -102,8 +101,6 @@ Status ServiceFleet::AddTenant(std::string_view key,
   ServiceConfig cell_config;
   cell_config.queue_capacity = config_.queue_capacity;
   cell_config.publish_batch = config_.publish_batch;
-  cell_config.estimate_threads = config_.estimate_threads;
-  cell_config.clone_publish = config_.clone_publish;
   cell_config.metrics = registry_;
 
   std::unique_lock<std::shared_mutex> lock(map_mutex_);
@@ -210,15 +207,7 @@ StatusOr<FleetFeedbackOutcome> ServiceFleet::SubmitFeedback(
     std::string_view key, const Box& query) {
   Cell cell = FindCell(key);
   if (cell == nullptr) return UnknownTenant(key);
-  switch (cell->Submit(query, std::numeric_limits<double>::quiet_NaN())) {
-    case FeedbackOutcome::kAccepted:
-      return FleetFeedbackOutcome::kAccepted;
-    case FeedbackOutcome::kQueueFull:
-      return FleetFeedbackOutcome::kQueueFull;
-    case FeedbackOutcome::kStopped:
-      break;
-  }
-  return FleetFeedbackOutcome::kStopped;
+  return cell->Submit(query, std::numeric_limits<double>::quiet_NaN());
 }
 
 Status ServiceFleet::Drain() {

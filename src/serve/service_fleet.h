@@ -37,14 +37,6 @@ struct FleetConfig {
   /// how long one backlogged shard can monopolize a pool worker.
   size_t publish_batch = 64;
 
-  /// Threads for EstimateBatch on a shard snapshot (1 = inline).
-  size_t estimate_threads = 1;
-
-  /// true: publish deep clones instead of copy-on-write snapshots — same
-  /// escape hatch as ServiceConfig::clone_publish; estimates are
-  /// bitwise-identical either way.
-  bool clone_publish = false;
-
   /// Base seed of the fleet's deterministic tenant hashing: TenantId(key) is
   /// a pure function of (seed, key), so shard identities — and everything a
   /// driver derives from them (per-tenant workload seeds in fleet-sim and
@@ -64,14 +56,10 @@ struct FleetConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// What happened to one fleet SubmitFeedback call, mirroring
-/// FeedbackOutcome: accepted, shed on a full shard queue, or shed because
-/// the shard (or the whole fleet) has stopped accepting feedback.
-enum class FleetFeedbackOutcome {
-  kAccepted,
-  kQueueFull,
-  kStopped,
-};
+/// What happened to one fleet SubmitFeedback call: the shard cell's own
+/// verdict — accepted, shed on a full shard queue, or shed because the
+/// shard (or the whole fleet) has stopped accepting feedback.
+using FleetFeedbackOutcome = FeedbackOutcome;
 
 /// Fleet counters: the aggregate view over every shard this fleet ever held,
 /// removed tenants included. Same consistency contract as ServiceStats —
@@ -134,7 +122,7 @@ class ServiceFleet {
   ServiceFleet& operator=(const ServiceFleet&) = delete;
 
   /// Registers `key` with `initial` as its working histogram and publishes
-  /// its clone as the shard's first snapshot. Errors: kInvalidArgument for
+  /// its snapshot as the shard's first. Errors: kInvalidArgument for
   /// an empty key, a null histogram, or one without Clone() support; a
   /// second Add of a live key is also kInvalidArgument; kUnavailable after
   /// Stop. The oracle must outlive the tenant.
@@ -162,7 +150,8 @@ class ServiceFleet {
   /// dropped before estimating); kNotFound for an unknown tenant.
   StatusOr<double> Estimate(std::string_view key, const Box& query) const;
 
-  /// Batch estimation against one consistent shard snapshot.
+  /// Batch estimation against one consistent shard snapshot, inline on the
+  /// calling thread (the refiner pool is the fleet's only worker budget).
   StatusOr<std::vector<double>> EstimateBatch(std::string_view key,
                                               std::span<const Box> queries) const;
 

@@ -57,14 +57,6 @@ void AwaitHorizons(DrainSignal* signal,
   });
 }
 
-std::shared_ptr<const Histogram> ServingCell::PublishableSnapshot(
-    const Histogram& h, bool clone_publish) {
-  // The COW snapshot is O(touched path) (DESIGN.md §17); clone_publish keeps
-  // the deep clone selectable for benches and as an escape hatch.
-  return clone_publish ? std::shared_ptr<const Histogram>(h.Clone())
-                       : h.Snapshot();
-}
-
 ServingCell::ServingCell(std::unique_ptr<Histogram> initial,
                          std::shared_ptr<const Histogram> first,
                          const CardinalityOracle& oracle,
@@ -100,8 +92,8 @@ ServingCell::ServingCell(std::unique_ptr<Histogram> initial,
     // normalization baseline, not part of the faulted feedback path.
     trivial_ = std::make_unique<TrivialHistogram>(
         reinit.domain, ClampTotal(oracle_.Count(reinit.domain)));
-    replay_.reserve(
-        std::min<size_t>(reinit.replay_capacity, config_.queue_capacity));
+    replay_.reserve(std::min<size_t>(ReinitConfig::kReplayCapacity,
+                                     config_.queue_capacity));
   }
 }
 
@@ -242,8 +234,7 @@ void ServingCell::ApplyFeedback(const Feedback& feedback) {
     }
     if (fired && !rebuild_inflight_) StartRebuild();
 
-    if (config_.reinit.trivial_refresh > 0 &&
-        ++observed_since_refresh_ >= config_.reinit.trivial_refresh) {
+    if (++observed_since_refresh_ >= ReinitConfig::kTrivialRefresh) {
       observed_since_refresh_ = 0;
       trivial_ = std::make_unique<TrivialHistogram>(
           config_.reinit.domain,
@@ -251,7 +242,7 @@ void ServingCell::ApplyFeedback(const Feedback& feedback) {
     }
   }
   working_->Refine(feedback.query, *refine_oracle_);
-  if (rebuild_inflight_ && replay_.size() < config_.reinit.replay_capacity) {
+  if (rebuild_inflight_ && replay_.size() < ReinitConfig::kReplayCapacity) {
     replay_.push_back(feedback);
   }
 }
@@ -263,9 +254,10 @@ void ServingCell::Publish() {
   double seconds = 0.0;
   const bool retired = retired_.load(std::memory_order_acquire);
   if (!retired) {
-    // Timed: the latency of making the publishable snapshot.
+    // Timed: the latency of making the publishable snapshot, O(touched
+    // path) for a copy-on-write tree (DESIGN.md §17).
     const auto start = std::chrono::steady_clock::now();
-    snap = PublishableSnapshot(*working_, config_.clone_publish);
+    snap = working_->Snapshot();
     STHIST_CHECK(snap != nullptr);
     seconds = SecondsSince(start);
     metrics_.publish_seconds.Observe(seconds);

@@ -62,14 +62,14 @@ struct ReinitConfig {
   /// Feedback applied while a rebuild is in flight is also retained (up to
   /// this many items) and replayed onto the rebuilt histogram before it
   /// swaps in, so the swap does not forget the queries of the rebuild
-  /// window. Overflow is shed oldest-kept-first (the reservoir still saw
-  /// every item).
-  size_t replay_capacity = 4096;
+  /// window. Later items of the window are not retained (the reservoir
+  /// still saw every item).
+  static constexpr size_t kReplayCapacity = 4096;
 
   /// The trivial control's total tuple count is re-read from the oracle
   /// every this many observed feedback items (drift moves the row count;
-  /// a stale control skews the NAE). 0 disables refresh.
-  size_t trivial_refresh = 1024;
+  /// a stale control skews the NAE).
+  static constexpr size_t kTrivialRefresh = 1024;
 
   /// Fault injection on the rebuild path: the oracle feeding the
   /// re-initializer is wrapped in a FaultyOracle with this config when
@@ -86,8 +86,8 @@ struct ReinitConfig {
 };
 
 /// Tuning knobs for HistogramService, and the per-cell knobs of every
-/// ServingCell (a fleet fills the queue, batch, estimate and publish fields
-/// from its FleetConfig).
+/// ServingCell (a fleet fills the queue and batch fields from its
+/// FleetConfig).
 struct ServiceConfig {
   /// Feedback queue capacity. A full queue sheds the newest feedback
   /// (SubmitFeedback reports kQueueFull, the drop counter bumps) rather than
@@ -104,13 +104,6 @@ struct ServiceConfig {
   /// Threads for EstimateBatch on the served snapshot (0 = hardware
   /// concurrency, 1 = inline), forwarded to Histogram::EstimateBatch.
   size_t estimate_threads = 1;
-
-  /// true: publish deep clones (Histogram::Clone) instead of copy-on-write
-  /// snapshots (Histogram::Snapshot) — the pre-§17 behavior, kept as an
-  /// escape hatch and for bench head-to-head comparison. The published
-  /// estimates are bitwise-identical either way; only publish cost and
-  /// refiner path-copy overhead differ.
-  bool clone_publish = false;
 
   /// Feedback items already baked into the initial histogram by a previous
   /// incarnation of this service (the applied_feedback watermark of the
@@ -296,12 +289,7 @@ class ServingCell : public std::enable_shared_from_this<ServingCell> {
     CellCounters* totals = nullptr;
   };
 
-  /// What a cell publishes of `h`: a deep clone under clone_publish, else
-  /// a copy-on-write snapshot; null when `h` cannot snapshot (no Clone).
-  static std::shared_ptr<const Histogram> PublishableSnapshot(
-      const Histogram& h, bool clone_publish);
-
-  /// Serves `initial` with `first` (its PublishableSnapshot) as epoch 0.
+  /// Serves `initial` with `first` (its Histogram::Snapshot) as epoch 0.
   /// Must be owned by a shared_ptr: runs hold one. Aborts on an invalid
   /// re-init config (enabled with an empty domain or bad detector/reservoir
   /// knobs). The oracle must be const-thread-safe and outlive the cell.

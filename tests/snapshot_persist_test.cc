@@ -175,6 +175,28 @@ TEST(SnapshotPersistTest, RestoredServiceReplaysToIdenticalSnapshot) {
   std::remove(path_b.c_str());
 }
 
+// Publishes deep clones: Snapshot() is a full Clone() of the wrapped
+// histogram, the way serving published before copy-on-write trees.
+class DeepClonePublish : public Histogram {
+ public:
+  explicit DeepClonePublish(std::unique_ptr<Histogram> inner)
+      : inner_(std::move(inner)) {}
+  double Estimate(const Box& query) const override {
+    return inner_->Estimate(query);
+  }
+  std::unique_ptr<Histogram> Clone() const override { return inner_->Clone(); }
+  std::shared_ptr<const Histogram> Snapshot() const override {
+    return std::shared_ptr<const Histogram>(inner_->Clone());
+  }
+  void Refine(const Box& query, const CardinalityOracle& oracle) override {
+    inner_->Refine(query, oracle);
+  }
+  size_t bucket_count() const override { return inner_->bucket_count(); }
+
+ private:
+  std::unique_ptr<Histogram> inner_;
+};
+
 // Publishing with clones and publishing with COW snapshots are the same
 // observable service: identical estimates for identical feedback.
 TEST(SnapshotPersistTest, ClonePublishAndCowPublishAreBitIdentical) {
@@ -183,11 +205,11 @@ TEST(SnapshotPersistTest, ClonePublishAndCowPublishAreBitIdentical) {
   const Workload probes = rig.Queries(80, 91);
 
   ServiceConfig cow;
-  cow.clone_publish = false;
   ServiceConfig clone;
-  clone.clone_publish = true;
   HistogramService service_cow(rig.Trained(28, 50), *rig.executor, cow);
-  HistogramService service_clone(rig.Trained(28, 50), *rig.executor, clone);
+  HistogramService service_clone(
+      std::make_unique<DeepClonePublish>(rig.Trained(28, 50)), *rig.executor,
+      clone);
   for (const Box& q : stream) {
     ASSERT_EQ(service_cow.SubmitFeedback(q), FeedbackOutcome::kAccepted);
     ASSERT_EQ(service_clone.SubmitFeedback(q), FeedbackOutcome::kAccepted);

@@ -13,19 +13,24 @@
 //
 // Exit codes: 0 success; 1 runtime failure (unreadable/malformed input,
 // failed write — the Status message is printed to stderr); 2 usage error
-// (unknown subcommand or flag).
+// (unknown subcommand or flag, or a flag the command cannot honour in the
+// chosen mode).
 
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "clustering/clique.h"
@@ -133,9 +138,9 @@ class Flags {
 // §13), so whatever layers the command exercised show up in the file.
 #define STHIST_COMMON_FLAGS "metrics-json"
 #define STHIST_DATASET_FLAGS "data", "dataset", "tuples", "dim", "seed"
-#define STHIST_CLUSTER_FLAGS                                          \
-  "clusterer", "alpha", "beta", "width", "max-clusters", "xi", "tau", \
-      "max-dims"
+#define STHIST_MINECLUS_FLAGS "alpha", "beta", "width", "max-clusters"
+#define STHIST_CLUSTER_FLAGS \
+  STHIST_MINECLUS_FLAGS, "clusterer", "xi", "tau", "max-dims"
 #define STHIST_FAULT_FLAGS \
   "fault-rate", "fault-seed", "fault-noise", "fault-data"
 #define STHIST_DRIFT_FLAGS                                             \
@@ -146,6 +151,18 @@ class Flags {
       "reinit-cooldown", "reinit-backstop", "reinit-reservoir",          \
       "reinit-buckets", "reinit-sync", "fault-reinit-rate",              \
       "fault-reinit-seed"
+
+// A usage error naming `flag` (a flag the command accepts, in a combination
+// it cannot honour): main() exits 2 on it, as on an unknown flag.
+Status FlagError(const std::string& flag, const std::string& why) {
+  return Status::InvalidArgument("flag --" + flag + " " + why);
+}
+
+bool IsUsageError(const Status& status) {
+  return status.code() == StatusCode::kInvalidArgument &&
+         (status.message().rfind("unknown flag:", 0) == 0 ||
+          status.message().rfind("flag --", 0) == 0);
+}
 
 // ---------------------------------------------------------------------------
 // Dataset resolution: either a named generator or a CSV file.
@@ -302,6 +319,20 @@ void FoldDigest(uint64_t value, uint64_t* digest) {
 }
 
 constexpr uint64_t kDigestSeed = 1469598103934665603ULL;  // FNV offset basis.
+
+// Folds the bits of `h`'s estimate of every probe into `digest`.
+void FoldEstimates(const Histogram& h, const Workload& probes,
+                   uint64_t* digest) {
+  for (const Box& probe : probes) {
+    FoldDigest(std::bit_cast<uint64_t>(h.Estimate(probe)), digest);
+  }
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 // ---------------------------------------------------------------------------
 // Subcommands
@@ -501,9 +532,7 @@ Status RunSweepCommand(const Flags& flags) {
   auto start = std::chrono::steady_clock::now();
   std::vector<ExperimentResult> results =
       RunSweep(experiment, configs, threads);
-  double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  double seconds = SecondsSince(start);
 
   TablePrinter table({"seed", "buckets", "init", "NAE", "final buckets",
                       "subspace", "clusters fed"});
@@ -717,238 +746,107 @@ Status RunSnapshotLoad(const Flags& flags, bool verify_only) {
   return Status::Ok();
 }
 
-// Drift-mode serving simulation (`serve-sim --drift <scenario>`): a
-// deterministic replay driver streams a DriftSchedule's phases through the
-// service (estimate, then feedback) while optional read-only probe threads
-// hammer the published snapshot, and — unless --no-reinit — the stagnation
-// detector + reservoir re-initialization recover from the drift online
-// (DESIGN.md §14). The driver Drains at phase boundaries and on queue-full,
-// so the run is replayable: same flags, same trigger/swap sequence.
-Status RunServeSimDrift(const Flags& flags) {
-  StatusOr<DriftScenario> scenario =
-      ParseDriftScenario(flags.Str("drift", "cross-move"));
-  if (!scenario.ok()) return scenario.status();
+// ---------------------------------------------------------------------------
+// serve-sim: one driver for the serving loop (DESIGN.md §11, §14, §17).
+// ---------------------------------------------------------------------------
 
-  DriftConfig dc;
-  dc.scenario = *scenario;
-  dc.phases = flags.Size("drift-phases", 4);
-  dc.seed = static_cast<uint64_t>(flags.Num("drift-seed", 17));
-  dc.dim = flags.Size("dim", 2);
-  dc.tuples = flags.Size("drift-tuples", 22000);
-  dc.move_span = flags.Num("drift-span", 0.6);
-
-  const size_t total_queries = flags.Size("queries", 20000);
-  if (total_queries == 0) {
-    return Status::InvalidArgument("--queries must be > 0");
+// serve-sim's mode rule: a flag the mode cannot honour is a usage error.
+// --drift's schedule replaces the dataset, and an STHS snapshot holds no
+// drift-loop state to --restore; without --drift nothing drifts.
+Status CheckServeSimFlags(const Flags& flags) {
+  static constexpr const char* kNotWithDrift[] = {
+      "data", "dataset", "tuples", "seed", "fault-data", "restore"};
+  static constexpr const char* kNeedDrift[] = {
+      "drift-phases", "drift-seed", "drift-tuples", "drift-span",
+      STHIST_REINIT_FLAGS};
+  const bool drift = flags.Has("drift");
+  const char* why = drift ? "does not apply with --drift" : "needs --drift";
+  for (const char* flag : drift ? std::span<const char* const>(kNotWithDrift)
+                                : std::span<const char* const>(kNeedDrift)) {
+    if (flags.Has(flag)) return FlagError(flag, why);
   }
-  WorkloadConfig wc;
-  wc.num_queries =
-      std::max<size_t>(total_queries / std::max<size_t>(dc.phases, 1), 1);
-  wc.volume_fraction = flags.Num("volume", 0.01);
-
-  StatusOr<DriftSchedule> schedule = MakeDriftSchedule(dc, wc);
-  if (!schedule.ok()) return schedule.status();
-  PhasedOracle oracle(*schedule);
-  const Box& domain = schedule->domain();
-
-  // The service starts on a histogram trained for phase 0 (with --init, the
-  // paper's MineClus-seeded initialization over the phase-0 snapshot), so
-  // the drift — not a cold start — is what degrades it.
-  STHolesConfig hc;
-  hc.max_buckets = flags.Size("buckets", 100);
-  auto hist = std::make_unique<STHoles>(domain, oracle.Count(domain), hc);
-  if (flags.Has("init")) {
-    std::vector<SubspaceCluster> clusters = RunMineClus(
-        schedule->phase(0).data.data, domain, MineClusFromFlags(flags));
-    InitializeHistogram(clusters, domain, oracle, InitializerConfig{},
-                        hist.get());
+  if (flags.Has("snapshot-every") && !flags.Has("snapshot")) {
+    return FlagError("snapshot-every", "needs --snapshot <file>");
   }
-  WorkloadConfig train_wc = wc;
-  train_wc.num_queries = flags.Size("train", 200);
-  train_wc.centers = CenterDistribution::kData;
-  train_wc.seed = DeriveSeed(dc.seed, 0x7A);
-  StatusOr<Workload> train =
-      MakeWorkloadChecked(domain, train_wc, &schedule->phase(0).data.data);
-  if (!train.ok()) return train.status();
-  for (const Box& q : *train) hist->Refine(q, oracle);
-
-  ServiceConfig sc;
-  sc.queue_capacity = flags.Size("queue-cap", sc.queue_capacity);
-  sc.publish_batch = flags.Size("publish-batch", sc.publish_batch);
-  if (sc.queue_capacity == 0 || sc.publish_batch == 0) {
-    return Status::InvalidArgument(
-        "--queue-cap and --publish-batch must be > 0");
-  }
-  sc.metrics = obs::GlobalMetrics();
-  sc.faults = FaultsFromFlags(flags);
-
-  ReinitConfig& reinit = sc.reinit;
-  reinit.enabled = !flags.Has("no-reinit");
-  reinit.domain = domain;
-  reinit.detector.window = flags.Size("reinit-window", 128);
-  reinit.detector.trigger_nae =
-      flags.Num("reinit-trigger", reinit.detector.trigger_nae);
-  reinit.detector.rearm_nae =
-      flags.Num("reinit-rearm", reinit.detector.rearm_nae);
-  reinit.detector.cooldown = flags.Size("reinit-cooldown", 256);
-  reinit.detector.retrigger_backstop =
-      flags.Size("reinit-backstop", reinit.detector.retrigger_backstop);
-  reinit.reservoir.capacity =
-      flags.Size("reinit-reservoir", reinit.reservoir.capacity);
-  reinit.mineclus = MineClusFromFlags(flags);
-  reinit.max_buckets = flags.Size("reinit-buckets", hc.max_buckets);
-  reinit.background = !flags.Has("reinit-sync");
-  reinit.rebuild_faults.rate = flags.Num("fault-reinit-rate", 0.0);
-  reinit.rebuild_faults.seed =
-      static_cast<uint64_t>(flags.Num("fault-reinit-seed", 99));
-  if (reinit.enabled) {
-    // Validate before construction: the service CHECK-aborts on bad knobs,
-    // the CLI reports them.
-    STHIST_RETURN_IF_ERROR(Validate(reinit.detector));
-    STHIST_RETURN_IF_ERROR(Validate(reinit.reservoir));
-  }
-  HistogramService service(std::move(hist), oracle, sc);
-
-  // Read-only probe threads: they measure that the snapshot stays servable
-  // through rebuilds but never submit feedback, so they cannot perturb the
-  // deterministic replay below.
-  const size_t readers = flags.Size("readers", 2);
-  std::atomic<bool> probes_stop{false};
-  std::vector<std::thread> probes;
-  probes.reserve(readers);
-  std::atomic<double> sink{0.0};
-  for (size_t r = 0; r < readers; ++r) {
-    probes.emplace_back([&, r] {
-      const Workload& queries = schedule->phase(0).queries;
-      double local = 0.0;
-      for (size_t i = 0; !probes_stop.load(std::memory_order_relaxed); ++i) {
-        local += service.Estimate(queries[(r * 31 + i) % queries.size()]);
-      }
-      sink.fetch_add(local);
-    });
-  }
-
-  // The replay driver: one thread, FIFO feedback, Drain at every phase
-  // boundary (the oracle must not change phase under queued feedback) and
-  // on backpressure.
-  // Pacing: Drain every `pace` submissions. A free-running driver outraces
-  // the refiner by a whole queue, so every served estimate in a phase would
-  // come from the previous phase's histogram no matter how well re-init
-  // works; draining at a bounded cadence emulates a production arrival rate
-  // the refiner can keep up with, without giving up replayability.
-  const size_t pace = std::max<size_t>(flags.Size("pace", sc.publish_batch),
-                                       1);
-  struct PhaseRow {
-    double mae = 0.0;
-    double trivial_mae = 0.0;
-    size_t queries = 0;
-    size_t triggers = 0;
-    size_t swaps = 0;
-    double rolling_nae = 0.0;
-  };
-  std::vector<PhaseRow> rows(schedule->phase_count());
-  auto t0 = std::chrono::steady_clock::now();
-  size_t since_drain = 0;
-  for (size_t p = 0; p < schedule->phase_count(); ++p) {
-    oracle.SetPhase(p);
-    TrivialHistogram trivial(domain, oracle.Count(domain));
-    PhaseRow& row = rows[p];
-    for (const Box& q : schedule->phase(p).queries) {
-      const double est = service.Estimate(q);
-      const double actual = oracle.Count(q);
-      row.mae += std::abs(est - actual);
-      row.trivial_mae += std::abs(trivial.Estimate(q) - actual);
-      ++row.queries;
-      if (service.SubmitFeedback(q, est) == FeedbackOutcome::kQueueFull) {
-        STHIST_RETURN_IF_ERROR(service.Drain());
-        (void)service.SubmitFeedback(q, est);
-      }
-      if (++since_drain >= pace) {
-        since_drain = 0;
-        STHIST_RETURN_IF_ERROR(service.Drain());
-      }
-    }
-    STHIST_RETURN_IF_ERROR(service.Drain());
-    ServiceStats at_phase_end = service.stats();
-    row.triggers = at_phase_end.reinit_triggers;
-    row.swaps = at_phase_end.reinit_swaps_completed;
-    row.rolling_nae = at_phase_end.rolling_nae;
-  }
-  double drive_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  probes_stop.store(true);
-  for (std::thread& t : probes) t.join();
-  service.Stop();
-
-  std::printf("drift scenario: %s (%zu phases, %zu queries/phase)\n",
-              DriftScenarioName(schedule->scenario()),
-              schedule->phase_count(), wc.num_queries);
-  TablePrinter phases({"phase", "queries", "MAE", "NAE", "NAE(roll)",
-                       "triggers", "swaps"});
-  for (size_t p = 0; p < rows.size(); ++p) {
-    const PhaseRow& row = rows[p];
-    const double n = static_cast<double>(std::max<size_t>(row.queries, 1));
-    const double nae =
-        row.trivial_mae > 0.0 ? row.mae / row.trivial_mae : 0.0;
-    phases.AddRow({FormatSize(p), FormatSize(row.queries),
-                   FormatDouble(row.mae / n, 1), FormatDouble(nae, 4),
-                   FormatDouble(row.rolling_nae, 4), FormatSize(row.triggers),
-                   FormatSize(row.swaps)});
-  }
-  phases.Print();
-
-  ServiceStats stats = service.stats();
-  TablePrinter table({"metric", "value"});
-  table.AddRow({"probe readers", FormatSize(readers)});
-  table.AddRow({"reads served", FormatSize(stats.reads_served)});
-  table.AddRow({"feedback accepted", FormatSize(stats.feedback_accepted)});
-  table.AddRow({"feedback dropped", FormatSize(stats.feedback_dropped())});
-  table.AddRow({"feedback applied", FormatSize(stats.feedback_applied)});
-  table.AddRow({"snapshot epoch", FormatSize(stats.snapshot_epoch)});
-  table.AddRow({"reinit triggers", FormatSize(stats.reinit_triggers)});
-  table.AddRow({"swaps completed", FormatSize(stats.reinit_swaps_completed)});
-  table.AddRow({"swaps aborted", FormatSize(stats.reinit_swaps_aborted)});
-  table.AddRow({"replayed feedback", FormatSize(stats.reinit_replayed)});
-  table.AddRow({"reservoir size", FormatSize(stats.reservoir_size)});
-  table.AddRow({"rolling NAE", FormatDouble(stats.rolling_nae, 4)});
-  table.AddRow({"drive s", FormatDouble(drive_seconds, 2)});
-  table.Print();
-
-  const Histogram& snapshot = *service.snapshot();
-  std::printf("final snapshot: %zu buckets, robustness events %zu\n",
-              snapshot.bucket_count(), snapshot.robustness().total());
-  std::printf("--- metrics ---\n%s", obs::GlobalMetrics()->ToText().c_str());
   return Status::Ok();
 }
 
-// Deterministic serve-sim replay (`serve-sim --pace P`, `--snapshot FILE`,
-// `--snapshot-every N`, `--restore FILE`): a single driver thread streams the
-// simulation workload through the service in FIFO order, draining every
-// `pace` submissions, so the final snapshot — and the "serve digest" printed
-// at the end — is a pure function of the flags. `--snapshot-every N` cuts a
-// Drain-barriered STHS snapshot every N queries; `--restore FILE` starts
-// from such a snapshot instead of pre-training and skips the queries its
-// watermark says were already applied. Because refinement consumes only the
-// executed queries (never the served estimates), a restored run replays to
-// the bit-identical digest of the uninterrupted run — the warm-restart
-// contract CI's crash-recovery smoke and tests/snapshot_persist_test.cc
-// hold. The restored run must use the same dataset/workload/bucket flags as
-// the saved one; only --restore and the snapshot flags may differ.
-Status RunServeSimReplay(const Flags& flags) {
-  StatusOr<GeneratedData> g = ResolveDataset(flags);
-  if (!g.ok()) return g.status();
-  Experiment experiment(*std::move(g));
+// What serve-sim drives: the initial histogram, the oracle, and the stream
+// cut into phases (one unless --drift; phase p ends before phase_ends[p]).
+struct ServeSimSetup {
+  std::unique_ptr<Experiment> experiment;   // Without --drift.
+  std::unique_ptr<DriftSchedule> schedule;  // With --drift.
+  std::unique_ptr<PhasedOracle> phased;     // Over *schedule.
+  const CardinalityOracle* oracle = nullptr;
+  Box domain;
+  Workload stream;
+  std::vector<size_t> phase_ends;
+  std::unique_ptr<Histogram> hist;
+  size_t skip = 0;  // Stream queries a --restore'd histogram already holds.
+};
 
-  const size_t total_queries = flags.Size("queries", 20000);
-  if (total_queries == 0) {
-    return Status::InvalidArgument("--queries must be > 0");
+// The dataset (a `sim_queries` stream) or the --drift schedule, then
+// --restore or a fresh STHoles, --init and training. A restoring run repeats
+// the saving run's dataset, workload and bucket flags.
+StatusOr<ServeSimSetup> SetUpServeSim(const Flags& flags, size_t sim_queries) {
+  ServeSimSetup s;
+  const Dataset* data = nullptr;  // What --init clusters.
+  double total = 0.0;
+  Workload train;
+  if (flags.Has("drift")) {
+    StatusOr<DriftScenario> scenario =
+        ParseDriftScenario(flags.Str("drift", "cross-move"));
+    if (!scenario.ok()) return scenario.status();
+    DriftConfig dc;
+    dc.scenario = *scenario;
+    dc.phases = flags.Size("drift-phases", 4);
+    dc.seed = static_cast<uint64_t>(flags.Num("drift-seed", 17));
+    dc.dim = flags.Size("dim", 2);
+    dc.tuples = flags.Size("drift-tuples", 22000);
+    dc.move_span = flags.Num("drift-span", 0.6);
+    WorkloadConfig wc;
+    wc.num_queries = std::max<size_t>(
+        flags.Size("queries", 20000) / std::max<size_t>(dc.phases, 1), 1);
+    wc.volume_fraction = flags.Num("volume", 0.01);
+    StatusOr<DriftSchedule> schedule = MakeDriftSchedule(dc, wc);
+    if (!schedule.ok()) return schedule.status();
+    s.schedule = std::make_unique<DriftSchedule>(*std::move(schedule));
+    s.phased = std::make_unique<PhasedOracle>(*s.schedule);
+    s.oracle = s.phased.get();
+    s.domain = s.schedule->domain();
+    for (size_t p = 0; p < s.schedule->phase_count(); ++p) {
+      const Workload& queries = s.schedule->phase(p).queries;
+      s.stream.insert(s.stream.end(), queries.begin(), queries.end());
+      s.phase_ends.push_back(s.stream.size());
+    }
+    // Trained for phase 0, so the drift, not a cold start, degrades it.
+    data = &s.schedule->phase(0).data.data;
+    total = s.oracle->Count(s.domain);
+    wc.num_queries = flags.Size("train", 200);
+    wc.centers = CenterDistribution::kData;
+    wc.seed = DeriveSeed(dc.seed, 0x7A);
+    StatusOr<Workload> made = MakeWorkloadChecked(s.domain, wc, data);
+    if (!made.ok()) return made.status();
+    train = *std::move(made);
+  } else {
+    StatusOr<GeneratedData> g = ResolveDataset(flags);
+    if (!g.ok()) return g.status();
+    STHIST_RETURN_IF_ERROR(MaybeInjectDataFaults(flags, &*g));
+    s.experiment = std::make_unique<Experiment>(*std::move(g));
+    s.oracle = &s.experiment->executor();
+    s.domain = s.experiment->domain();
+    data = &s.experiment->data();
+    total = s.experiment->total_tuples();
+    ExperimentConfig wc;
+    wc.train_queries = flags.Size("train", 200);
+    wc.sim_queries = sim_queries;
+    wc.volume_fraction = flags.Num("volume", 0.01);
+    std::tie(train, s.stream) = s.experiment->MakeWorkloads(wc);
+    s.phase_ends.push_back(s.stream.size());
   }
 
   STHolesConfig hc;
   hc.max_buckets = flags.Size("buckets", 100);
-  std::unique_ptr<Histogram> hist;
-  size_t skip = 0;  // Queries already baked into the restored histogram.
   if (flags.Has("restore")) {
     const std::string from = flags.Str("restore", "");
     StatusOr<std::string> bytes = snapshot_io::ReadFile(from);
@@ -956,47 +854,34 @@ Status RunServeSimReplay(const Flags& flags) {
     StatusOr<snapshot_io::ServiceSnapshot> snap =
         snapshot_io::DecodeServiceSnapshot(*bytes);
     if (!snap.ok()) return snap.status();
-    // Registry dispatch on the blob's own magic: the replay restores
-    // whichever estimator family the snapshot was saved from.
-    HistogramConfig rc;
+    HistogramConfig rc;  // The blob's own magic picks the estimator.
     rc.buckets = hc.max_buckets;
     StatusOr<std::unique_ptr<Histogram>> restored =
         RestoreHistogram(snap->histogram, rc);
     if (!restored.ok()) return restored.status();
-    hist = *std::move(restored);
-    skip = static_cast<size_t>(snap->applied_feedback);
-    std::fprintf(stderr,
-                 "restored %s (%s): %zu buckets, resuming after %zu queries\n",
-                 from.c_str(), snap->estimator.c_str(), hist->bucket_count(),
-                 skip);
-  } else {
-    hist = std::make_unique<STHoles>(experiment.domain(),
-                                     experiment.total_tuples(), hc);
-    if (flags.Has("init")) {
-      InitializeHistogram(experiment.Clusters(MineClusFromFlags(flags)),
-                          experiment.domain(), experiment.executor(),
-                          InitializerConfig{}, hist.get());
+    s.hist = *std::move(restored);
+    s.skip = static_cast<size_t>(snap->applied_feedback);
+    if (s.skip > s.stream.size()) {
+      return StatusF(StatusCode::kInvalidArgument,
+                     "%s: watermark %zu exceeds --queries %zu", from.c_str(),
+                     s.skip, s.stream.size());
     }
+    return s;
   }
+  s.hist = std::make_unique<STHoles>(s.domain, total, hc);
+  if (flags.Has("init")) {
+    InitializeHistogram(RunMineClus(*data, s.domain, MineClusFromFlags(flags)),
+                        s.domain, *s.oracle, InitializerConfig{},
+                        s.hist.get());
+  }
+  for (const Box& q : train) s.hist->Refine(q, *s.oracle);
+  return s;
+}
 
-  // Both runs build identical workloads; the restored one just skips the
-  // pre-train refines (they are part of the snapshot) and the first `skip`
-  // simulation queries (the watermark says the refiner already applied them).
-  ExperimentConfig wc_config;
-  wc_config.train_queries = flags.Size("train", 200);
-  wc_config.sim_queries = total_queries;
-  wc_config.volume_fraction = flags.Num("volume", 0.01);
-  auto [train, sim] = experiment.MakeWorkloads(wc_config);
-  if (!flags.Has("restore")) {
-    for (const Box& q : train) hist->Refine(q, experiment.executor());
-  }
-  if (skip > sim.size()) {
-    return StatusF(StatusCode::kInvalidArgument,
-                   "snapshot watermark %zu exceeds --queries %zu "
-                   "(was the snapshot saved by a longer run?)",
-                   skip, sim.size());
-  }
-
+// serve-sim's ServiceConfig. --fault-* faults the refiner's oracle answers
+// (readers never consult it); --drift turns on the drift loop over `domain`.
+StatusOr<ServiceConfig> ServiceConfigFromFlags(const Flags& flags,
+                                               const Box& domain) {
   ServiceConfig sc;
   sc.queue_capacity = flags.Size("queue-cap", sc.queue_capacity);
   sc.publish_batch = flags.Size("publish-batch", sc.publish_batch);
@@ -1004,209 +889,201 @@ Status RunServeSimReplay(const Flags& flags) {
     return Status::InvalidArgument(
         "--queue-cap and --publish-batch must be > 0");
   }
-  sc.clone_publish = flags.Has("clone-publish");
-  sc.restored_feedback = skip;
+  // The report's batched pass: a small pool by default, so the pool layer
+  // shows in the metrics on one core; bare --batch = hardware concurrency.
+  sc.estimate_threads = flags.Has("batch") ? flags.Size("batch", 0) : 4;
+  sc.faults = FaultsFromFlags(flags);
   sc.metrics = obs::GlobalMetrics();
-  HistogramService service(std::move(hist), experiment.executor(), sc);
+  if (!flags.Has("drift")) return sc;
 
-  const size_t pace = std::max<size_t>(flags.Size("pace", 1), 1);
-  const size_t snapshot_every = flags.Size("snapshot-every", 0);
-  const std::string snapshot_path = flags.Str("snapshot", "serve.snap");
-  if (snapshot_every > 0 && !flags.Has("snapshot")) {
-    return Status::InvalidArgument("--snapshot-every needs --snapshot <file>");
+  ReinitConfig& reinit = sc.reinit;
+  reinit.enabled = !flags.Has("no-reinit");
+  reinit.domain = domain;
+  StagnationConfig& detector = reinit.detector;
+  detector.window = flags.Size("reinit-window", 128);
+  detector.trigger_nae = flags.Num("reinit-trigger", detector.trigger_nae);
+  detector.rearm_nae = flags.Num("reinit-rearm", detector.rearm_nae);
+  detector.cooldown = flags.Size("reinit-cooldown", 256);
+  detector.retrigger_backstop =
+      flags.Size("reinit-backstop", detector.retrigger_backstop);
+  reinit.reservoir.capacity =
+      flags.Size("reinit-reservoir", reinit.reservoir.capacity);
+  reinit.mineclus = MineClusFromFlags(flags);
+  reinit.max_buckets = flags.Size("reinit-buckets", flags.Size("buckets", 100));
+  reinit.background = !flags.Has("reinit-sync");
+  reinit.rebuild_faults.rate = flags.Num("fault-reinit-rate", 0.0);
+  reinit.rebuild_faults.seed =
+      static_cast<uint64_t>(flags.Num("fault-reinit-seed", 99));
+  if (reinit.enabled) {  // The service CHECK-aborts on bad knobs.
+    STHIST_RETURN_IF_ERROR(Validate(reinit.detector));
+    STHIST_RETURN_IF_ERROR(Validate(reinit.reservoir));
   }
-
-  auto t0 = std::chrono::steady_clock::now();
-  double sink = 0.0;
-  size_t saves = 0;
-  for (size_t i = skip; i < sim.size(); ++i) {
-    const Box& q = sim[i];
-    sink += service.Estimate(q);
-    if (service.SubmitFeedback(q) == FeedbackOutcome::kQueueFull) {
-      // Drain-and-resubmit instead of shedding: the replay must apply every
-      // query or the watermark would no longer count queries.
-      STHIST_RETURN_IF_ERROR(service.Drain());
-      (void)service.SubmitFeedback(q);
-    }
-    if ((i + 1 - skip) % pace == 0) {
-      STHIST_RETURN_IF_ERROR(service.Drain());
-    }
-    if (snapshot_every > 0 && (i + 1) % snapshot_every == 0) {
-      STHIST_RETURN_IF_ERROR(service.Drain());
-      STHIST_RETURN_IF_ERROR(service.SaveSnapshot(snapshot_path));
-      ++saves;
-    }
-  }
-  STHIST_RETURN_IF_ERROR(service.Drain());
-  if (flags.Has("snapshot")) {
-    STHIST_RETURN_IF_ERROR(service.SaveSnapshot(snapshot_path));
-    ++saves;
-  }
-  double drive_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  service.Stop();
-
-  ServiceStats stats = service.stats();
-  TablePrinter table({"metric", "value"});
-  table.AddRow({"queries replayed", FormatSize(sim.size() - skip)});
-  table.AddRow({"queries skipped", FormatSize(skip)});
-  table.AddRow({"feedback applied", FormatSize(stats.feedback_applied)});
-  table.AddRow({"snapshot epoch", FormatSize(stats.snapshot_epoch)});
-  table.AddRow({"snapshot saves", FormatSize(saves)});
-  table.AddRow({"drive s", FormatDouble(drive_seconds, 2)});
-  table.Print();
-
-  // The determinism digest: FNV-1a over the final snapshot's estimates on
-  // the full simulation workload (skipped prefix included, so interrupted
-  // and uninterrupted runs fold the same probes).
-  std::shared_ptr<const Histogram> snapshot = service.snapshot();
-  uint64_t digest = kDigestSeed;
-  for (const Box& probe : sim) {
-    FoldDigest(std::bit_cast<uint64_t>(snapshot->Estimate(probe)), &digest);
-  }
-  std::printf("final snapshot: %zu buckets\n", snapshot->bucket_count());
-  std::printf("serve digest: %016llx\n",
-              static_cast<unsigned long long>(digest));
-  std::printf("--- metrics ---\n%s", obs::GlobalMetrics()->ToText().c_str());
-  return Status::Ok();
+  return sc;
 }
 
-// Simulates production serving: R reader threads issue estimates against
-// the published snapshot while every executed query's feedback streams back
-// through the service's bounded queue into the single refiner. Prints the
-// ServiceStats counters plus read throughput.
+// The serving simulation: one setup, config and report, two traffic shapes.
+// Free-running (default): R reader threads each estimate, then submit.
+// Paced (--pace, --drift, --snapshot, --snapshot-every, --restore): one FIFO
+// driver submits the stream, draining on a full queue (then resubmitting, so
+// every query is applied), every P submissions and at phase boundaries;
+// --readers threads only probe. Refinement consumes only executed queries,
+// so the "serve digest" is a pure function of the flags (with --drift, given
+// --reinit-sync) and a --restore replays to the uninterrupted run's digest.
 Status RunServeSim(const Flags& flags) {
   STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
-      {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_CLUSTER_FLAGS,
+      {STHIST_COMMON_FLAGS, STHIST_DATASET_FLAGS, STHIST_MINECLUS_FLAGS,
        STHIST_FAULT_FLAGS, STHIST_DRIFT_FLAGS, STHIST_REINIT_FLAGS,
        "buckets", "train", "queries", "readers", "volume", "init",
        "queue-cap", "publish-batch", "batch", "snapshot", "snapshot-every",
-       "restore", "clone-publish"}));
-  if (flags.Has("drift")) return RunServeSimDrift(flags);
-  if (flags.Has("pace") || flags.Has("snapshot") ||
-      flags.Has("snapshot-every") || flags.Has("restore")) {
-    return RunServeSimReplay(flags);
-  }
-  StatusOr<GeneratedData> g = ResolveDataset(flags);
-  if (!g.ok()) return g.status();
-  Experiment experiment(*std::move(g));
-
-  const size_t readers = flags.Size("readers", 4);
+       "restore"}));
+  STHIST_RETURN_IF_ERROR(CheckServeSimFlags(flags));
+  const bool drift = flags.Has("drift");
+  const bool paced = drift || flags.Has("pace") || flags.Has("snapshot") ||
+                     flags.Has("snapshot-every") || flags.Has("restore");
   const size_t total_queries = flags.Size("queries", 20000);
-  if (readers == 0 || total_queries == 0) {
+  const size_t readers = flags.Size("readers", !paced ? 4 : drift ? 2 : 0);
+  if (total_queries == 0 || (!paced && readers == 0)) {
     return Status::InvalidArgument("--readers and --queries must be > 0");
   }
+  // Paced: one pass over the stream. Free-running: each reader's step count.
+  const size_t stream_queries =
+      paced ? total_queries : std::max<size_t>(total_queries / readers, 1);
+  StatusOr<ServeSimSetup> setup = SetUpServeSim(flags, stream_queries);
+  if (!setup.ok()) return setup.status();
+  StatusOr<ServiceConfig> sc = ServiceConfigFromFlags(flags, setup->domain);
+  if (!sc.ok()) return sc.status();
+  const Workload& stream = setup->stream;
+  const CardinalityOracle& oracle = *setup->oracle;
+  const size_t skip = setup->skip;
+  sc->restored_feedback = skip;
+  HistogramService service(std::move(setup->hist), oracle, *sc);
 
-  // Pre-train the histogram the service starts from.
-  STHolesConfig hc;
-  hc.max_buckets = flags.Size("buckets", 100);
-  auto hist = std::make_unique<STHoles>(experiment.domain(),
-                                        experiment.total_tuples(), hc);
-  if (flags.Has("init")) {
-    InitializeHistogram(experiment.Clusters(MineClusFromFlags(flags)),
-                        experiment.domain(), experiment.executor(),
-                        InitializerConfig{}, hist.get());
-  }
-  ExperimentConfig wc_config;
-  wc_config.train_queries = flags.Size("train", 200);
-  wc_config.sim_queries = std::max<size_t>(total_queries / readers, 1);
-  wc_config.volume_fraction = flags.Num("volume", 0.01);
-  auto [train, sim] = experiment.MakeWorkloads(wc_config);
-  for (const Box& q : train) hist->Refine(q, experiment.executor());
-
-  ServiceConfig sc;
-  sc.queue_capacity = flags.Size("queue-cap", sc.queue_capacity);
-  sc.publish_batch = flags.Size("publish-batch", sc.publish_batch);
-  // Batched estimation threads for the final pass below. Defaults to a
-  // small pool (not hardware concurrency) so the pool layer shows up in the
-  // metrics dump even on a single-core box; results are bitwise-identical
-  // at any value, so oversubscription only costs wall clock. --batch N
-  // overrides; --batch 0 (or bare --batch) = hardware concurrency.
-  sc.estimate_threads = flags.Has("batch") ? flags.Size("batch", 0) : 4;
-  if (sc.queue_capacity == 0 || sc.publish_batch == 0) {
-    return Status::InvalidArgument(
-        "--queue-cap and --publish-batch must be > 0");
-  }
-  // --fault-* applies to the serving loop too: the refiner's oracle answers
-  // (detector observations and Refine feedback counts) flow through a
-  // deterministic FaultyOracle. Readers never consult the oracle.
-  sc.faults = FaultsFromFlags(flags);
-  // The service's serve.service.* counters land in the same process-wide
-  // registry as everything else, so the final /metrics dump is one document.
-  sc.metrics = obs::GlobalMetrics();
-  HistogramService service(std::move(hist), experiment.executor(), sc);
-
-  // Readers: estimate, then feed the executed query back — the full online
-  // loop, except reads never wait for the refiner.
-  std::atomic<bool> start{false};
+  const auto t0 = std::chrono::steady_clock::now();
+  std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
-  threads.reserve(readers);
-  std::atomic<double> sink{0.0};
-  const size_t per_reader = std::max<size_t>(total_queries / readers, 1);
+  const size_t first_phase = setup->phase_ends[0];  // What readers read.
   for (size_t r = 0; r < readers; ++r) {
     threads.emplace_back([&, r] {
-      while (!start.load()) std::this_thread::yield();
-      double local = 0.0;
-      for (size_t i = 0; i < per_reader; ++i) {
-        const Box& q = sim[(r * 17 + i) % sim.size()];
-        local += service.Estimate(q);
-        (void)service.SubmitFeedback(q);
+      for (size_t i = 0;
+           paced ? !stop.load(std::memory_order_relaxed) : i < stream_queries;
+           ++i) {
+        const Box& q = stream[(r * (paced ? 31 : 17) + i) % first_phase];
+        (void)service.Estimate(q);
+        if (!paced) (void)service.SubmitFeedback(q);
       }
-      sink.fetch_add(local);
     });
   }
-  auto t0 = std::chrono::steady_clock::now();
-  start.store(true);
+
+  TablePrinter phases({"phase", "queries", "MAE", "NAE", "NAE(roll)",
+                       "triggers", "swaps"});
+  const size_t pace =
+      std::max<size_t>(flags.Size("pace", drift ? sc->publish_batch : 1), 1);
+  const size_t snapshot_every = flags.Size("snapshot-every", 0);
+  const std::string snapshot_path = flags.Str("snapshot", "");
+  size_t saves = 0;
+  auto drive = [&]() -> Status {
+    for (size_t p = 0, pos = 0; p < setup->phase_ends.size(); ++p) {
+      if (setup->phased != nullptr) setup->phased->SetPhase(p);
+      TrivialHistogram trivial(setup->domain, oracle.Count(setup->domain));
+      double mae = 0.0, trivial_mae = 0.0;
+      size_t n = 0;
+      for (; pos < setup->phase_ends[p]; ++pos) {
+        if (pos < skip) continue;
+        const Box& q = stream[pos];
+        const double est = service.Estimate(q);
+        const double actual = oracle.Count(q);
+        mae += std::abs(est - actual);
+        trivial_mae += std::abs(trivial.Estimate(q) - actual);
+        ++n;
+        if (service.SubmitFeedback(q, est) == FeedbackOutcome::kQueueFull) {
+          STHIST_RETURN_IF_ERROR(service.Drain());
+          (void)service.SubmitFeedback(q, est);
+        }
+        if ((pos + 1 - skip) % pace == 0) {
+          STHIST_RETURN_IF_ERROR(service.Drain());
+        }
+        if (snapshot_every > 0 && (pos + 1) % snapshot_every == 0) {
+          STHIST_RETURN_IF_ERROR(service.Drain());
+          STHIST_RETURN_IF_ERROR(service.SaveSnapshot(snapshot_path));
+          ++saves;
+        }
+      }
+      STHIST_RETURN_IF_ERROR(service.Drain());
+      const ServiceStats end = service.stats();
+      phases.AddRow(
+          {FormatSize(p), FormatSize(n),
+           FormatDouble(mae / static_cast<double>(std::max<size_t>(n, 1)), 1),
+           FormatDouble(trivial_mae > 0.0 ? mae / trivial_mae : 0.0, 4),
+           FormatDouble(end.rolling_nae, 4), FormatSize(end.reinit_triggers),
+           FormatSize(end.reinit_swaps_completed)});
+    }
+    if (!flags.Has("snapshot")) return Status::Ok();
+    ++saves;
+    return service.SaveSnapshot(snapshot_path);
+  };
+
+  const Status driven = paced ? drive() : Status::Ok();
+  stop.store(true);
   for (std::thread& t : threads) t.join();
-  double read_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  service.Stop();  // Drain the backlog and publish the final snapshot.
-  double total_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const double traffic_seconds = SecondsSince(t0);
+  STHIST_RETURN_IF_ERROR(driven);
+  service.Stop();  // Drain any backlog and publish the final snapshot.
+  const double total_seconds = SecondsSince(t0);
 
-  // One batched pass over the simulation workload against the final
-  // snapshot: exercises the EstimateBatch fan-out (and with it the thread
-  // pool) on the exact histogram the readers ended on.
-  std::vector<double> batched = service.EstimateBatch(sim);
+  if (drift) {
+    std::printf("drift scenario: %s (%zu phases, %zu queries/phase)\n",
+                DriftScenarioName(setup->schedule->scenario()),
+                setup->phase_ends.size(), first_phase);
+  }
+  if (paced) phases.Print();
+
+  const ServiceStats st = service.stats();  // The traffic's own counts.
+  // A batched pass on the final snapshot exercises EstimateBatch's fan-out.
   double batched_sum = 0.0;
-  for (double est : batched) batched_sum += est;
-
-  ServiceStats stats = service.stats();
+  for (double est : service.EstimateBatch(stream)) batched_sum += est;
   TablePrinter table({"metric", "value"});
-  table.AddRow({"reader threads", FormatSize(readers)});
-  table.AddRow({"reads served", FormatSize(stats.reads_served)});
-  table.AddRow(
-      {"reads/s", FormatDouble(static_cast<double>(stats.reads_served) /
-                                   read_seconds,
-                               0)});
-  table.AddRow({"feedback accepted", FormatSize(stats.feedback_accepted)});
-  table.AddRow({"feedback dropped", FormatSize(stats.feedback_dropped())});
-  table.AddRow({"feedback applied", FormatSize(stats.feedback_applied)});
-  table.AddRow({"snapshot epoch", FormatSize(stats.snapshot_epoch)});
-  table.AddRow({"final staleness", FormatSize(stats.staleness)});
-  table.AddRow({"last publish ms",
-                FormatDouble(stats.last_publish_seconds * 1e3, 2)});
-  table.AddRow({"max publish ms",
-                FormatDouble(stats.max_publish_seconds * 1e3, 2)});
-  table.AddRow({"drain+total s", FormatDouble(total_seconds, 2)});
-  table.AddRow({"batched queries", FormatSize(batched.size())});
-  table.AddRow({"batched mean est",
-                FormatDouble(batched.empty()
-                                 ? 0.0
-                                 : batched_sum /
-                                       static_cast<double>(batched.size()),
-                             1)});
+  auto add = [&table](const char* name, std::string value) {
+    table.AddRow({name, std::move(value)});
+  };
+  add("reader threads", FormatSize(readers));
+  add("reads served", FormatSize(st.reads_served));
+  add("reads/s", FormatDouble(st.reads_served / traffic_seconds, 0));
+  add("feedback accepted", FormatSize(st.feedback_accepted));
+  add("feedback dropped", FormatSize(st.feedback_dropped()));
+  add("feedback applied", FormatSize(st.feedback_applied));
+  add("snapshot epoch", FormatSize(st.snapshot_epoch));
+  add("final staleness", FormatSize(st.staleness));
+  add("last publish ms", FormatDouble(st.last_publish_seconds * 1e3, 2));
+  add("max publish ms", FormatDouble(st.max_publish_seconds * 1e3, 2));
+  if (paced) {
+    add("queries replayed", FormatSize(stream.size() - skip));
+    add("queries skipped", FormatSize(skip));
+    add("snapshot saves", FormatSize(saves));
+  }
+  if (sc->reinit.enabled) {
+    add("reinit triggers", FormatSize(st.reinit_triggers));
+    add("swaps completed", FormatSize(st.reinit_swaps_completed));
+    add("swaps aborted", FormatSize(st.reinit_swaps_aborted));
+    add("replayed feedback", FormatSize(st.reinit_replayed));
+    add("reservoir size", FormatSize(st.reservoir_size));
+    add("rolling NAE", FormatDouble(st.rolling_nae, 4));
+  }
+  add("traffic s", FormatDouble(traffic_seconds, 2));
+  add("drain+total s", FormatDouble(total_seconds, 2));
+  add("batched queries", FormatSize(stream.size()));
+  add("batched mean est", FormatDouble(batched_sum / stream.size(), 1));
   table.Print();
 
-  const Histogram& snapshot = *service.snapshot();
+  std::shared_ptr<const Histogram> snapshot = service.snapshot();
   std::printf("final snapshot: %zu buckets, robustness events %zu\n",
-              snapshot.bucket_count(), snapshot.robustness().total());
-
-  // The /metrics-style dump: every layer the simulation touched, one line
-  // per metric (DESIGN.md §13).
+              snapshot->bucket_count(), snapshot->robustness().total());
+  if (paced) {  // Over the whole stream, a restored run's prefix included.
+    uint64_t digest = kDigestSeed;
+    FoldEstimates(*snapshot, stream, &digest);
+    std::printf("serve digest: %016llx\n",
+                static_cast<unsigned long long>(digest));
+  }
+  // The /metrics-style dump of every layer the run touched (DESIGN.md §13).
   std::printf("--- metrics ---\n%s", obs::GlobalMetrics()->ToText().c_str());
   return Status::Ok();
 }
@@ -1219,7 +1096,7 @@ Status RunFleetSim(const Flags& flags) {
   STHIST_RETURN_IF_ERROR(flags.CheckAllowed(
       {STHIST_COMMON_FLAGS, "tenants", "refiners", "queries", "buckets",
        "readers", "pace", "seed", "queue-cap", "publish-batch", "snapshot",
-       "restore", "clone-publish"}));
+       "restore"}));
 
   size_t tenants = flags.Size("tenants", 16);
   const size_t per_tenant = flags.Size("queries", 64);
@@ -1260,7 +1137,6 @@ Status RunFleetSim(const Flags& flags) {
   fc.queue_capacity = flags.Size("queue-cap", fc.queue_capacity);
   fc.publish_batch = flags.Size("publish-batch", fc.publish_batch);
   fc.seed = seed;
-  fc.clone_publish = flags.Has("clone-publish");
   fc.metrics = obs::GlobalMetrics();
   if (fc.refiners == 0 || fc.queue_capacity == 0 || fc.publish_batch == 0) {
     return Status::InvalidArgument(
@@ -1390,9 +1266,7 @@ Status RunFleetSim(const Flags& flags) {
     STHIST_RETURN_IF_ERROR(fleet.SaveSnapshot(path));
     std::fprintf(stderr, "saved fleet snapshot to %s\n", path.c_str());
   }
-  double drive_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  double drive_seconds = SecondsSince(t0);
   readers_stop.store(true);
   for (std::thread& rt : reader_threads) rt.join();
   fleet.Stop();
@@ -1409,9 +1283,7 @@ Status RunFleetSim(const Flags& flags) {
     if (snap == nullptr) return Status::NotFound("lost snapshot: " + key);
     size_t t = 0;
     while (t < tenants && keys[t] != key) ++t;
-    for (const Box& probe : streams[t]) {
-      FoldDigest(std::bit_cast<uint64_t>(snap->Estimate(probe)), &digest);
-    }
+    FoldEstimates(*snap, streams[t], &digest);
   }
 
   FleetStats stats = fleet.stats();
@@ -1478,33 +1350,30 @@ void PrintUsage() {
       "              verify: decode, fail closed on any corruption\n"
       "                      --in file.snap (histogram, service, or fleet\n"
       "                      snapshots are auto-detected by magic)\n"
-      "  serve-sim   concurrent serving simulation: reader threads estimate\n"
-      "              against published snapshots while the refiner drains\n"
-      "              their feedback; ends with a /metrics-style dump\n"
-      "              --readers N --queries N --buckets N --train N [--init]\n"
-      "              --queue-cap N --publish-batch N [--batch [N]]\n"
-      "              + cluster flags; --fault-rate R injects faults into\n"
-      "              the refiner's oracle answers\n"
-      "              drift mode: --drift cross-move|churn|hotspot|adversarial\n"
+      "  serve-sim   serving simulation: estimate, execute, feed back,\n"
+      "              refine, publish; ends with a /metrics-style dump\n"
+      "              --queries N --buckets N --train N [--init] + mineclus\n"
+      "              flags, --queue-cap N --publish-batch N, --batch [N]\n"
+      "              threads for the closing batched pass, --fault-rate R\n"
+      "              faults the refiner's oracle answers\n"
+      "              free-running (default): --readers N threads each\n"
+      "              estimate, then submit\n"
+      "              paced (--pace, --drift, --snapshot, --snapshot-every\n"
+      "              or --restore): one FIFO driver drains every --pace P\n"
+      "              submissions and prints a 'serve digest'; --readers N\n"
+      "              adds read-only probes; --snapshot f.snap\n"
+      "              [--snapshot-every N] saves Drain-barriered snapshots,\n"
+      "              --restore f.snap resumes one to the uninterrupted\n"
+      "              run's digest (same dataset/workload flags required)\n"
+      "              drift: --drift cross-move|churn|hotspot|adversarial\n"
       "              --drift-phases N --drift-seed S --drift-tuples N\n"
-      "              --drift-span F --dim D; stagnation re-init is on by\n"
-      "              default (--no-reinit disables): --reinit-window N\n"
-      "              --reinit-trigger F --reinit-rearm F --reinit-cooldown N\n"
-      "              --reinit-backstop N --reinit-reservoir N\n"
-      "              --reinit-buckets N [--reinit-sync]\n"
-      "              --fault-reinit-rate R --fault-reinit-seed S inject\n"
-      "              faults into the rebuild path (aborted swaps keep the\n"
-      "              incumbent serving)\n"
-      "              replay mode (--pace, --snapshot, --snapshot-every, or\n"
-      "              --restore without --drift): one deterministic driver\n"
-      "              thread, drains every --pace P queries, prints a\n"
-      "              'serve digest' that is a pure function of the flags;\n"
-      "              --snapshot f.snap [--snapshot-every N] saves\n"
-      "              Drain-barriered snapshots, --restore f.snap warm-starts\n"
-      "              from one and replays to the uninterrupted run's digest\n"
-      "              (same dataset/workload flags required);\n"
-      "              --clone-publish uses deep-clone publishes instead of\n"
-      "              copy-on-write snapshots (identical estimates)\n"
+      "              --drift-span F --dim D replaces the dataset flags;\n"
+      "              stagnation re-init is on (--no-reinit disables):\n"
+      "              --reinit-window N --reinit-trigger F --reinit-rearm F\n"
+      "              --reinit-cooldown N --reinit-backstop N\n"
+      "              --reinit-reservoir N --reinit-buckets N [--reinit-sync]\n"
+      "              --fault-reinit-rate R --fault-reinit-seed S; a flag\n"
+      "              the chosen mode cannot honour is a usage error\n"
       "  fleet-sim   sharded multi-tenant serving: N tenant histograms share\n"
       "              K pooled refiner threads; ends with a determinism\n"
       "              digest over the final snapshots and a metrics dump\n"
@@ -1517,7 +1386,7 @@ void PrintUsage() {
       "              snapshot; --restore f.snap hands the fleet off from one\n"
       "              (tenants/seed come from the file, the driver is skipped,\n"
       "              and with the saving run's --queries the digest matches\n"
-      "              it); --clone-publish uses deep-clone publishes\n"
+      "              it)\n"
       "\n"
       "every command accepts --metrics-json <path>: export the run's\n"
       "metrics registry (counters, gauges, latency histograms) as JSON\n"
@@ -1616,8 +1485,7 @@ int main(int argc, char** argv) {
 
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    if (status.code() == StatusCode::kInvalidArgument &&
-        status.message().rfind("unknown flag:", 0) == 0) {
+    if (IsUsageError(status)) {
       PrintUsage();
       return kExitUsage;
     }
